@@ -4,15 +4,16 @@ Two numbers, one discipline:
 
 * ``modeled`` — the CI gate (≥3× at 4 workers).  Phase 1 of
   :func:`~repro.api.run_multi_job` is embarrassingly parallel: each
-  job's compile+simulate is measured *serially* (that is exactly the
-  ``workers=1`` cost), then the pool's deterministic round-robin
-  placement (task *i* → worker ``i % N``) gives the parallel makespan as
+  job's compile+simulate (:func:`~repro.api.simulate_job`) is measured
+  *serially* (that is exactly the ``workers=1`` cost), then the runner's
+  deterministic round-robin placement (job *i* → worker ``i % N``)
+  gives the parallel makespan as
   ``max over workers of the sum of that worker's task times``.  Like the
   virtual-clock gate of ``BENCH_service.json``, this is a placement/
   balance property, valid on any host — including single-CPU CI runners
   where real processes cannot physically overlap.
 * ``wall`` — informational.  Actual wall-clock of ``run_multi_job`` at
-  both worker counts, pool spawn and pickle overhead included.  On a
+  both worker counts, process start and pickle overhead included.  On a
   multi-core host this approaches the modeled number; on a one-core
   runner it hovers near (or below) 1× and is deliberately not gated.
 
@@ -33,8 +34,7 @@ import pytest
 
 from benchmarks.conftest import write_payload
 
-from repro.api import JobSpec, run_multi_job, run_vsensor
-from repro.parallel import JobTask, simulate_job
+from repro.api import JobSpec, run_multi_job, run_vsensor, simulate_job
 from repro.runtime.quality import score_detection
 from repro.sim import MachineConfig
 from repro.sim.faults import CpuContention
@@ -82,27 +82,16 @@ def test_parallel_runner_scaling():
     specs = _specs(span)
     kw = _kwargs(span)
 
-    # Serial per-job phase-1 cost — the workers=1 baseline, task by task.
-    tasks = [
-        JobTask(
-            job_id=job_id,
-            source=spec.source,
-            machine=spec.machine,
-            faults=tuple(spec.faults),
-            detector=spec.detector,
-            rule=spec.rule,
-            engine=spec.engine,
-            max_depth=spec.max_depth,
-            batch_period_us=kw["batch_period_us"],
-        )
-        for job_id, spec in enumerate(specs)
-    ]
-    simulate_job(tasks[0])  # warm imports/compile machinery untimed, so
-    # one-time costs don't masquerade as task-0 imbalance in the model
+    # Serial per-job phase-1 cost — the workers=1 baseline, job by job,
+    # through the same phase-1 function the workers run.
+    batch_period_us = kw["batch_period_us"]
+    simulate_job(specs[0], 0, batch_period_us)  # warm imports/compile
+    # machinery untimed, so one-time costs don't masquerade as job-0
+    # imbalance in the model
     task_seconds = []
-    for task in tasks:
+    for job_id, spec in enumerate(specs):
         t0 = time.perf_counter()
-        simulate_job(task)
+        simulate_job(spec, job_id, batch_period_us)
         task_seconds.append(time.perf_counter() - t0)
 
     runs = {}

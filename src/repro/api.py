@@ -386,10 +386,6 @@ class MultiJobRun:
 
     service: object
     jobs: dict[int, JobRun] = field(default_factory=dict)
-    #: the :class:`~repro.parallel.ProcessShardFabric` behind the service
-    #: when the run used ``shard_processes=True`` (closed by the time the
-    #: run returns; exposes ``restarts()`` for crash-recovery accounting)
-    fabric: object | None = None
 
 
 class _BatchRecorder:
@@ -401,6 +397,44 @@ class _BatchRecorder:
 
     def send_batch(self, rank: int, summaries: list, now: float) -> None:
         self.events.append((now, rank, list(summaries)))
+
+
+def simulate_job(
+    spec: JobSpec,
+    job_id: int,
+    batch_period_us: float,
+    store: ArtifactStore | None | object = _DEFAULT_STORE,
+    obs: Obs | None = None,
+) -> tuple[StaticResult, SimResult, VSensorRuntime]:
+    """Phase 1 of :func:`run_multi_job` for one job: compile + simulate.
+
+    The serial loop and the process workers
+    (:func:`repro.parallel.simulate_jobs_parallel`) both run this.  The
+    job's timed batch sends are captured by a recorder that rides in
+    ``runtime.server``; phases 2-4 replay them.
+    """
+    obs = obs or NULL_OBS
+    static = compile_and_instrument(
+        spec.source, max_depth=spec.max_depth, store=store, obs=obs
+    )
+    runtime = VSensorRuntime(
+        sensors=static.program.sensors,
+        n_ranks=spec.machine.n_ranks,
+        config=spec.detector or DetectorConfig(),
+        rule=spec.rule or NoGrouping(),
+        server=_BatchRecorder(batch_period_us),  # type: ignore[arg-type]
+        obs=obs,
+    )
+    with obs.tracer.span("vsensor.simulate", engine=spec.engine, job=job_id):
+        sim = Simulator(
+            static.program.module,
+            spec.machine,
+            faults=tuple(spec.faults),
+            sensors=static.program.sensors,
+            engine=spec.engine,
+            obs=obs,
+        ).run(runtime)
+    return static, sim, runtime
 
 
 def run_multi_job(
@@ -415,8 +449,6 @@ def run_multi_job(
     store: ArtifactStore | None | object = _DEFAULT_STORE,
     obs: Obs | None = None,
     workers: int = 1,
-    shard_processes: bool = False,
-    max_restarts: int = 2,
 ) -> MultiJobRun:
     """Run several jobs concurrently through one sharded analysis service.
 
@@ -436,30 +468,19 @@ def run_multi_job(
     fill and back-pressure engage); the default is zero cost.
 
     ``workers`` fans the compile+simulate phase out to that many OS
-    processes on the deterministic :class:`~repro.parallel.WorkerPool`
-    (:mod:`repro.parallel`); only phase 1 is parallel — the time-ordered
-    replay, back-pressure drive and merged reports are a deterministic
-    function of its outputs, so ``workers=N`` is bit-identical to
-    ``workers=1``.  When the run's artifact ``store`` has an on-disk
-    layer, workers share it as a warm compile cache.
-
-    ``shard_processes=True`` additionally puts each shard worker's ingest
-    side in a child OS process (:class:`~repro.parallel.
-    ProcessShardFabric`), speaking the framed fabric wire protocol;
-    admission arithmetic stays in the parent so back-pressure behaviour —
-    and every merged query — is bit-identical to in-process shards.
-    ``max_restarts`` bounds crash/replay respawns per worker or shard.
+    processes (:func:`repro.parallel.simulate_jobs_parallel`; job *i*
+    runs on worker ``i % workers``).  Only phase 1 is parallel — the
+    time-ordered replay, back-pressure drive and merged reports are a
+    deterministic function of its outputs, so ``workers=N`` is
+    bit-identical to ``workers=1``.  When the run's artifact ``store``
+    has an on-disk layer, workers share it as a warm compile cache;
+    otherwise they compile through the default store inherited at fork.
     """
     from repro.runtime.channel import ChannelConfig, LossyChannel, perfect_channel
     from repro.runtime.transport import ReliableTransport, RetryPolicy
     from repro.service import AnalysisService
 
     obs = obs or NULL_OBS
-    fabric = None
-    if shard_processes:
-        from repro.parallel import ProcessShardFabric
-
-        fabric = ProcessShardFabric(max_restarts=max_restarts)
     service = AnalysisService(
         n_shards,
         window_us=window_us,
@@ -469,22 +490,19 @@ def run_multi_job(
         cost=cost,
         vnodes=vnodes,
         obs=obs if obs.enabled else None,
-        fabric=fabric,
     )
-    run = MultiJobRun(service=service, fabric=fabric)
-    recorders: dict[int, _BatchRecorder] = {}
+    run = MultiJobRun(service=service)
     transports: dict[int, ReliableTransport] = {}
     specs: dict[int, JobSpec] = {}
 
     # Phase 1: compile + simulate every job, capturing timed batch sends.
-    job_ids: list[int] = []
     for index, spec in enumerate(jobs):
         job_id = index if spec.job_id is None else spec.job_id
-        if job_id in job_ids:
+        if job_id in specs:
             raise ReproError(f"duplicate job id {job_id}")
-        job_ids.append(job_id)
+        specs[job_id] = spec
     if workers > 1:
-        from repro.parallel.runner import JobTask, simulate_jobs_parallel
+        from repro.parallel.runner import simulate_jobs_parallel
 
         resolved_store = default_store() if store is _DEFAULT_STORE else store
         cache_dir = (
@@ -493,59 +511,16 @@ def run_multi_job(
             and resolved_store.disk_dir is not None
             else None
         )
-        tasks = [
-            JobTask(
-                job_id=job_id,
-                source=spec.source,
-                machine=spec.machine,
-                faults=tuple(spec.faults),
-                detector=spec.detector,
-                rule=spec.rule,
-                engine=spec.engine,
-                max_depth=spec.max_depth,
-                batch_period_us=batch_period_us,
-                cache_dir=cache_dir,
-            )
-            for job_id, spec in zip(job_ids, jobs)
-        ]
         outcomes = simulate_jobs_parallel(
-            tasks, workers, obs=obs, max_restarts=max_restarts
+            list(specs.items()), workers, batch_period_us, cache_dir=cache_dir, obs=obs
         )
-        for job_id, spec, outcome in zip(job_ids, jobs, outcomes):
-            static, sim, runtime = outcome
-            recorders[job_id] = runtime.server  # the _BatchRecorder
-            specs[job_id] = spec
-            run.jobs[job_id] = JobRun(
-                job_id=job_id, static=static, sim=sim, runtime=runtime
-            )
     else:
-        for job_id, spec in zip(job_ids, jobs):
-            static = compile_and_instrument(
-                spec.source, max_depth=spec.max_depth, store=store, obs=obs
-            )
-            recorder = _BatchRecorder(batch_period_us)
-            runtime = VSensorRuntime(
-                sensors=static.program.sensors,
-                n_ranks=spec.machine.n_ranks,
-                config=spec.detector or DetectorConfig(),
-                rule=spec.rule or NoGrouping(),
-                server=recorder,  # type: ignore[arg-type]
-                obs=obs,
-            )
-            with obs.tracer.span("vsensor.simulate", engine=spec.engine, job=job_id):
-                sim = Simulator(
-                    static.program.module,
-                    spec.machine,
-                    faults=tuple(spec.faults),
-                    sensors=static.program.sensors,
-                    engine=spec.engine,
-                    obs=obs,
-                ).run(runtime)
-            recorders[job_id] = recorder
-            specs[job_id] = spec
-            run.jobs[job_id] = JobRun(
-                job_id=job_id, static=static, sim=sim, runtime=runtime
-            )
+        outcomes = [
+            simulate_job(spec, job_id, batch_period_us, store, obs)
+            for job_id, spec in specs.items()
+        ]
+    for job_id, (static, sim, runtime) in zip(specs, outcomes):
+        run.jobs[job_id] = JobRun(job_id=job_id, static=static, sim=sim, runtime=runtime)
 
     # Phase 2: replay all jobs' batches, globally time-ordered, through
     # per-job sequenced transports into the shared sharded front.
@@ -570,8 +545,8 @@ def run_multi_job(
     timeline = sorted(
         (
             (now, job_id, order, rank, rows)
-            for job_id, recorder in recorders.items()
-            for order, (now, rank, rows) in enumerate(recorder.events)
+            for job_id, job_run in run.jobs.items()
+            for order, (now, rank, rows) in enumerate(job_run.runtime.server.events)
         ),
         key=lambda item: (item[0], item[1], item[2]),
     )
@@ -609,10 +584,6 @@ def run_multi_job(
             job_run.report = job_run.runtime.report(job_run.sim.total_time)
         job_run.channel_stats = transports[job_id].channel.stats.as_dict()
         job_run.report.channel_stats = dict(job_run.channel_stats)
-    # Process-backed shards are done once every report is answered: sync
-    # the merged views and shut the children down.  Later queries against
-    # the returned service answer from the synced merge state.
-    service.close()
     return run
 
 

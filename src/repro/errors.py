@@ -12,22 +12,25 @@ class ReproError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class LexError(ReproError):
+class _LocatedError(ReproError):
+    """An error at a source line and column (picklable across processes)."""
+
+    def __init__(self, message: str, line: int, col: int) -> None:
+        super().__init__(f"{line}:{col}: {message}")
+        self.message = message
+        self.line = line
+        self.col = col
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.col)
+
+
+class LexError(_LocatedError):
     """Raised when the lexer meets a character it cannot tokenize."""
 
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
 
-
-class ParseError(ReproError):
+class ParseError(_LocatedError):
     """Raised when the parser meets an unexpected token."""
-
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
 
 
 class LoweringError(ReproError):

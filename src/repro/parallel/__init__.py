@@ -1,53 +1,18 @@
-"""Process-parallel execution fabric (ROADMAP: a real process boundary).
+"""Process-parallel phase 1 of the multi-job runner.
 
-Two capabilities behind one framed wire protocol
-(:mod:`repro.parallel.wire`):
+:func:`~repro.api.run_multi_job` ``workers=N`` fans the per-job
+compile+simulate phase out to OS processes on a
+:class:`concurrent.futures.ProcessPoolExecutor`, one round-robin share
+of jobs per worker; results merge through the unchanged order-invariant
+query-merger path, bit-identical to the in-process run.
 
-* **Process shard workers** — :class:`ProcessShardFabric` puts each
-  :class:`~repro.service.shard.ShardWorker`'s ingest side in a child OS
-  process behind the existing consistent-hash router, with spool-replay
-  crash recovery and bit-identical merged queries.
-* **Parallel multi-job runner** — :func:`~repro.api.run_multi_job`
-  ``workers=N`` fans independent job simulations onto a deterministic
-  :class:`WorkerPool` of OS processes; results merge through the
-  unchanged order-invariant query-merger path, bit-identical to the
-  in-process run.
-
-Observability: ``parallel.dispatch`` / ``parallel.results`` /
-``parallel.frames`` / ``parallel.worker_restart`` counters plus
-``parallel.phase1`` / ``parallel.dispatch`` spans, all on the parent's
-bundle (children run null-obs; enabling obs never changes results).
+Observability: ``parallel.dispatch`` / ``parallel.worker_restart``
+counters plus ``parallel.phase1`` / ``parallel.dispatch`` spans, all on
+the parent's bundle (workers run null-obs; enabling obs never changes
+results).
 """
 
-from repro.parallel.pool import WorkerPool, default_workers
-from repro.parallel.procshard import (
-    ProcessShardFabric,
-    ProcessShardWorker,
-    ShardServerConfig,
-)
-from repro.parallel.runner import JobTask, simulate_job, simulate_jobs_parallel
-from repro.parallel.wire import (
-    FrameConn,
-    PeerDied,
-    WireError,
-    decode_rows,
-    encode_rows,
-    socket_pair,
-)
+from repro.parallel.pool import default_workers
+from repro.parallel.runner import simulate_jobs_parallel
 
-__all__ = [
-    "WorkerPool",
-    "default_workers",
-    "ProcessShardFabric",
-    "ProcessShardWorker",
-    "ShardServerConfig",
-    "JobTask",
-    "simulate_job",
-    "simulate_jobs_parallel",
-    "FrameConn",
-    "PeerDied",
-    "WireError",
-    "encode_rows",
-    "decode_rows",
-    "socket_pair",
-]
+__all__ = ["default_workers", "simulate_jobs_parallel"]

@@ -412,7 +412,15 @@ class AnalysisServer:
         return matrix
 
     def mean_rank_performance(self, sensor_type: SensorType) -> np.ndarray:
-        """Per-rank mean normalized performance (persistent-fault signal)."""
+        """Per-rank mean normalized performance (persistent-fault signal).
+
+        ``np.nanmean``'s own operations (NaN-zeroed row sum over the
+        non-NaN count), spelled out so a rank with no covered window —
+        fully degraded under heavy loss — is NaN without a warning.
+        """
         matrix = self.performance_matrix(sensor_type)
+        covered = ~np.isnan(matrix)
+        count = np.sum(covered, axis=1, dtype=np.intp)
+        total = np.sum(np.where(covered, matrix, 0.0), axis=1)
         with np.errstate(invalid="ignore"):
-            return np.nanmean(matrix, axis=1)
+            return total / count

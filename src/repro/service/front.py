@@ -63,7 +63,6 @@ class AnalysisService:
         rate_limit_rows_per_ms: float | None = None,
         rate_burst_rows: float | None = None,
         obs: object | None = None,
-        fabric: object | None = None,
     ) -> None:
         if rate_limit_rows_per_ms is not None and rate_limit_rows_per_ms <= 0:
             raise ReproError("rate_limit_rows_per_ms must be positive")
@@ -82,37 +81,17 @@ class AnalysisService:
         self.metrics = obs.metrics if obs is not None else None
         self.router = ShardRouter(n_shards, vnodes=vnodes)
         self.cost = cost if cost is not None else ShardCostModel()
-        #: optional process fabric (``repro.parallel.ProcessShardFabric``):
-        #: when given, every shard's ingest side lives in a child OS
-        #: process — same queue/admission arithmetic, bit-identical merges
-        self.fabric = fabric
-        if fabric is not None:
-            self.shards = [
-                fabric.shard(
-                    i,
-                    queue_limit=queue_limit,
-                    cost=self.cost,
-                    window_us=window_us,
-                    batch_period_us=batch_period_us,
-                    threshold=threshold,
-                    engine=engine,
-                    obs=obs,
-                    metrics=self.metrics,
-                )
-                for i in range(n_shards)
-            ]
-        else:
-            self.shards = [
-                ShardWorker(
-                    shard_id=i,
-                    server_factory=self._shard_server,
-                    queue_limit=queue_limit,
-                    cost=self.cost,
-                    obs=obs,
-                    metrics=self.metrics,
-                )
-                for i in range(n_shards)
-            ]
+        self.shards = [
+            ShardWorker(
+                shard_id=i,
+                server_factory=self._shard_server,
+                queue_limit=queue_limit,
+                cost=self.cost,
+                obs=obs,
+                metrics=self.metrics,
+            )
+            for i in range(n_shards)
+        ]
         self.ports: dict[int, TenantPort] = {}
         #: virtual clock — the max time any port or pump has observed
         self.clock = 0.0
@@ -138,8 +117,6 @@ class AnalysisService:
         if job_id in self.ports:
             raise ReproError(f"job {job_id} already registered")
         self._job_ranks[job_id] = n_ranks
-        if self.fabric is not None:
-            self.fabric.register_job(job_id, n_ranks)
         port = TenantPort(self, job_id, n_ranks)
         self.ports[job_id] = port
         if self.metrics is not None:
@@ -157,17 +134,6 @@ class AnalysisService:
         for shard in self.shards:
             shard.drain()
             self.clock = max(self.clock, shard.busy_until)
-
-    def close(self) -> None:
-        """Shut down process-backed shards (no-op for in-process ones).
-
-        Every port's merged view is refreshed first, so per-job queries
-        stay answerable (and stable) after the children are gone.
-        """
-        if self.fabric is not None:
-            for port in self.ports.values():
-                port._merger.refresh()
-            self.fabric.close()
 
     def describe(self) -> str:
         queued = sum(s.queued() for s in self.shards)

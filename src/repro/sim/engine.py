@@ -41,7 +41,7 @@ from repro.errors import SimulationError
 from repro.frontend import ast_nodes as A
 from repro.instrument.rewrite import SensorInfo
 from repro.obs import NULL_OBS, Obs
-from repro.sim.faults import Fault
+from repro.sim.faults import Fault, check_fault_nodes
 from repro.sim.hooks import NullHooks, RuntimeHooks
 from repro.sim.interp import MpiRequest, RankInterp
 from repro.sim.machine import MachineConfig
@@ -121,6 +121,7 @@ class Simulator:
         self.probe_control = probe_control
         self.machine = machine
         self.faults = tuple(faults)
+        check_fault_nodes(self.faults, machine)
         self.sensors = sensors or {}
         self.entry = entry
         self.externs = externs

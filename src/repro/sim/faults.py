@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import SimulationError
+
 
 @dataclass(frozen=True, slots=True)
 class Fault:
@@ -71,6 +73,21 @@ class IoDegradation(Fault):
     t1: float
     factor: float = 0.3
     node_ids: tuple[int, ...] | None = None
+
+
+def check_fault_nodes(faults: tuple[Fault, ...], machine) -> None:
+    """Reject a fault naming a node ``machine`` does not have."""
+    for fault in faults:
+        if isinstance(fault, (BadNode, SlowMemoryNode)):
+            node_ids: tuple[int, ...] = (fault.node_id,)
+        else:
+            node_ids = getattr(fault, "node_ids", None) or ()
+        missing = [n for n in node_ids if not 0 <= n < machine.n_nodes]
+        if missing:
+            raise SimulationError(
+                f"{fault!r} names node(s) {missing}, but the machine has "
+                f"n_nodes={machine.n_nodes}"
+            )
 
 
 def cpu_factor_at(faults: tuple[Fault, ...], node_id: int, t: float) -> float:

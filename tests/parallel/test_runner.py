@@ -5,16 +5,22 @@ process pool; the time-ordered replay, back-pressure drive and merged
 per-job reports are a deterministic function of its outputs.  So the
 whole :func:`~repro.api.run_multi_job` result — matrices, regions,
 inter-process events, coverage confidence, channel counters — must be
-identical for any worker count, and for process-backed shards too.
+identical for any worker count, and after a worker crash too: a crashed
+job is simply run again.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import multiprocessing
+import os
 
-from repro.api import JobSpec, run_multi_job, run_vsensor
+import numpy as np
+import pytest
+
+from repro.api import JobSpec, run_multi_job, run_vsensor, simulate_job
+from repro.errors import ParseError, ReproError
 from repro.obs import Obs
-from repro.parallel import JobTask, simulate_job, simulate_jobs_parallel
+from repro.parallel import default_workers, runner, simulate_jobs_parallel
 from repro.runtime.channel import ChannelConfig
 from repro.runtime.transport import RetryPolicy
 from repro.sim import MachineConfig
@@ -84,40 +90,87 @@ def test_worker_pool_run_is_bit_identical_to_serial():
     _assert_runs_identical(serial, wide)
 
 
-def test_process_shards_end_to_end_match_default(tmp_path):
+def test_process_shards_end_to_end_match_default():
+    """Job shares on worker processes, traced: same answers, and one
+    dispatch per job on the parent's obs bundle."""
     span = _span()
     specs = _specs(span)
     kw = _kwargs(span)
     serial = run_multi_job(specs, **kw)
     obs = Obs.create()
-    fabric_run = run_multi_job(
-        specs, workers=2, shard_processes=True, obs=obs, **kw
-    )
-    _assert_runs_identical(serial, fabric_run)
-    assert fabric_run.fabric is not None
-    assert fabric_run.fabric.restarts() == 0
+    fanned = run_multi_job(specs, workers=2, obs=obs, **kw)
+    _assert_runs_identical(serial, fanned)
     assert obs.metrics.counter("parallel.dispatch").value == len(specs)
+    assert obs.metrics.counter("parallel.worker_restart").value == 0
 
 
 def test_simulate_jobs_parallel_matches_direct_calls():
     span = _span()
-    tasks = [
-        JobTask(
-            job_id=job_id,
-            source=SIMPLE_MPI_PROGRAM,
-            machine=_machine(seed),
-            faults=(),
-            detector=None,
-            rule=None,
-            engine="bytecode",
-            max_depth=3,
-            batch_period_us=span / 10,
-        )
+    jobs = [
+        (job_id, JobSpec(SIMPLE_MPI_PROGRAM, _machine(seed)))
         for job_id, seed in ((0, 11), (1, 23))
     ]
-    direct = [simulate_job(task) for task in tasks]
-    pooled = simulate_jobs_parallel(tasks, 2, obs=None, max_restarts=2)
+    direct = [simulate_job(spec, job_id, span / 10) for job_id, spec in jobs]
+    pooled = simulate_jobs_parallel(jobs, 2, span / 10)
     assert len(pooled) == len(direct)
     for (_, sim_d, run_d), (_, sim_p, run_p) in zip(direct, pooled):
         assert sim_d.total_time == sim_p.total_time
         assert run_d.server.events == run_p.server.events
+    assert simulate_jobs_parallel([], 2, span / 10) == []
+
+
+def test_default_workers_positive():
+    assert default_workers() >= 1
+
+
+def test_job_error_propagates_from_worker():
+    specs = [JobSpec(SIMPLE_MPI_PROGRAM, _machine(11)), JobSpec("int main( {", _machine(23))]
+    with pytest.raises(ParseError):
+        run_multi_job(specs, workers=2, store=None)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the crash hook reaches workers only through fork",
+)
+
+
+def _crashing_phase1(victim: int, marker: str | None):
+    """Wrap the workers' phase-1 function so job ``victim`` kills its
+    worker process: once (when ``marker`` names a file to leave behind),
+    or on every attempt (``marker=None``)."""
+    real = runner.simulate_job
+
+    def phase1(spec, job_id, *args):
+        if job_id == victim and (marker is None or not os.path.exists(marker)):
+            if marker is not None:
+                open(marker, "w").close()
+            os._exit(1)
+        return real(spec, job_id, *args)
+
+    return phase1
+
+
+@needs_fork
+def test_crashed_job_reruns_bit_identical(tmp_path, monkeypatch):
+    span = _span()
+    specs = _specs(span)
+    kw = _kwargs(span)
+    serial = run_multi_job(specs, **kw)
+    marker = tmp_path / "crashed"
+    monkeypatch.setattr(runner, "simulate_job", _crashing_phase1(1, str(marker)))
+    obs = Obs.create()
+    rerun = run_multi_job(specs, workers=2, obs=obs, **kw)
+    assert marker.exists()  # the first attempt really died
+    _assert_runs_identical(serial, rerun)
+    assert obs.metrics.counter("parallel.worker_restart").value == 1
+
+
+@needs_fork
+def test_job_that_always_crashes_raises(monkeypatch):
+    span = _span()
+    monkeypatch.setattr(runner, "simulate_job", _crashing_phase1(1, None))
+    obs = Obs.create()
+    with pytest.raises(ReproError, match=r"jobs \[(\d+, )*1(, \d+)*\] did not finish"):
+        run_multi_job(_specs(span), workers=2, obs=obs, **_kwargs(span))
+    assert obs.metrics.counter("parallel.worker_restart").value == 1

@@ -1,11 +1,11 @@
-"""SequenceTracker: exactly-once admission, gaps, and restart replay.
+"""SequenceTracker: exactly-once admission, gaps, and history replay.
 
-The fabric's crash recovery rebuilds a shard child by replaying the
-*entire* frame spool into a fresh process, so the tracker must make a
-full-history replay idempotent from any point: every already-seen
-sequence number is refused, every genuinely new one is admitted, and
-the watermark/parked-gap state converges to exactly what an uncrashed
-stream would hold.
+The tracker is the dedup discipline of every sequenced stream (the
+analysis server's and the service front's per-rank ingest), so it must
+make a replay of an already-delivered history idempotent from any
+point: every already-seen sequence number is refused, every genuinely
+new one is admitted, and a fresh tracker fed the same history converges
+to exactly the watermark/parked-gap state of the original.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def test_duplicates_refused_in_every_state():
 
 
 def test_full_replay_after_restart_is_exactly_once():
-    """Mid-stream worker restart: the spool replays seqs 0..k into the
+    """A sender that restarts mid-stream replays seqs 0..k into the
     tracker that already admitted them — all must bounce — then the
     stream continues and only genuinely new numbers land."""
     tracker = SequenceTracker()
@@ -58,7 +58,7 @@ def test_full_replay_after_restart_is_exactly_once():
     watermark_before = tracker.watermark
     assert watermark_before == 4
 
-    # Crash + replay: the full history arrives again, in order.
+    # Restart + replay: the full history arrives again, in order.
     replay_admitted = [seq for seq in sorted(delivered) if tracker.accept(seq)]
     assert replay_admitted == []  # exactly-once held
     assert tracker.watermark == watermark_before
@@ -69,21 +69,22 @@ def test_full_replay_after_restart_is_exactly_once():
 
 
 def test_restarted_fresh_tracker_converges_under_replay():
-    """The shard child's side of the same story: its tracker is *lost*
-    with the process, and the replayed spool rebuilds an equivalent one —
-    same watermark, same parked set — even with gaps in flight."""
+    """The receiver's side of the same story: a tracker rebuilt from
+    scratch by replaying the delivered history is equivalent to the
+    original — same watermark, same parked set — even with gaps in
+    flight."""
     original = SequenceTracker()
-    in_flight = [0, 1, 2, 5, 7]  # 3, 4, 6 still missing at crash time
+    in_flight = [0, 1, 2, 5, 7]  # 3, 4, 6 still missing
     for seq in in_flight:
         original.accept(seq)
 
     rebuilt = SequenceTracker()
-    for seq in in_flight:  # spool replays exactly what was delivered
+    for seq in in_flight:  # replay exactly what was delivered
         assert rebuilt.accept(seq)
     assert rebuilt.watermark == original.watermark == 2
     assert rebuilt._seen == original._seen == {5, 7}
 
-    # Post-restart traffic behaves identically on both.
+    # Later traffic behaves identically on both.
     for seq in (3, 4, 6, 8):
         assert rebuilt.accept(seq) == original.accept(seq)
     assert rebuilt.watermark == original.watermark == 8

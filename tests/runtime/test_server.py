@@ -88,6 +88,19 @@ def test_mean_rank_performance():
     assert means[0] > means[1]
 
 
+@pytest.mark.parametrize("engine", ["columnar", "reference"])
+def test_mean_rank_performance_matches_nanmean_and_is_nan_when_uncovered(engine):
+    server = AnalysisServer(n_ranks=3, window_us=1000.0, engine=engine)
+    server.receive_batch(0, [summary(0, s, 10.0 + 0.3 * s) for s in range(7)])
+    server.receive_batch(1, [summary(1, s, 13.7) for s in (0, 2, 5)])
+    means = server.mean_rank_performance(SensorType.COMPUTATION)  # warning-free
+    matrix = server.performance_matrix(SensorType.COMPUTATION)
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+        expected = np.nanmean(matrix, axis=1)
+    assert means[:2].tobytes() == expected[:2].tobytes()  # covered ranks: bit-exact
+    assert np.isnan(means[2]) and np.isnan(expected[2])
+
+
 def test_window_mapping():
     server = AnalysisServer(n_ranks=1, window_us=2000.0)
     server.receive_batch(0, [summary(0, 0, 10.0), summary(0, 3, 10.0)])

@@ -1,8 +1,14 @@
 """Fault-injection model tests."""
 
+import pytest
+
+from repro.errors import ReproError
+from repro.frontend.parser import parse_source
+from repro.sim import MachineConfig, Simulator
 from repro.sim.faults import (
     BadNode,
     CpuContention,
+    IoDegradation,
     NetworkDegradation,
     SlowMemoryNode,
     cpu_factor_at,
@@ -63,3 +69,33 @@ def test_fault_boundaries_sorted_unique():
 
 def test_no_faults_no_boundaries():
     assert fault_boundaries(()) == []
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        CpuContention(node_ids=(5,), t0=0.0, t1=1.0),
+        CpuContention(node_ids=(0, 2), t0=0.0, t1=1.0),
+        BadNode(node_id=-1),
+        SlowMemoryNode(node_id=2),
+        IoDegradation(t0=0.0, t1=1.0, node_ids=(7,)),
+    ],
+)
+def test_fault_on_missing_node_rejected_at_construction(fault):
+    machine = MachineConfig(n_ranks=16, ranks_per_node=8)
+    module = parse_source("int main() { return 0; }")
+    with pytest.raises(ReproError, match=r"n_nodes=2") as info:
+        Simulator(module, machine, faults=(fault,))
+    assert repr(fault) in str(info.value)
+
+
+def test_faults_on_existing_nodes_accepted():
+    machine = MachineConfig(n_ranks=16, ranks_per_node=8)
+    module = parse_source("int main() { return 0; }")
+    faults = (
+        CpuContention(node_ids=(0, 1), t0=0.0, t1=1.0),
+        BadNode(node_id=1),
+        IoDegradation(t0=0.0, t1=1.0),  # every node
+        NetworkDegradation(t0=0.0, t1=1.0),
+    )
+    Simulator(module, machine, faults=faults).run()
