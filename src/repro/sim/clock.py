@@ -9,7 +9,10 @@ effective speed at instant ``t`` is::
 
 Integration proceeds slice by slice (noise jitter slices, fault window
 edges) so episodic faults show up exactly where they are injected, and
-periodic-interrupt loss is added per window.
+periodic-interrupt loss is added per window.  The fault factors are
+constant between fault window edges, so they are looked up per segment
+(:func:`repro.sim.faults.node_factor_segments`) rather than re-derived
+every step.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro.sim.faults import Fault, cpu_factor_at, fault_boundaries, mem_factor_at
+from repro.errors import SimulationError
+from repro.sim.faults import Fault, fault_boundaries, node_factor_segments
 from repro.sim.machine import MachineConfig, NodeConfig
 from repro.sim.noise import NodeNoise
+
+#: integration steps one advance may take before it is declared stuck
+MAX_INTEGRATION_STEPS = 10_000_000
 
 
 @dataclass(slots=True)
@@ -32,8 +39,10 @@ class RankClock:
     machine: MachineConfig
     faults: tuple[Fault, ...]
     now: float = 0.0
-    #: fault window edges, computed once (the fault set is fixed per run)
+    #: fault window edges and this node's per-segment (cpu, mem) fault
+    #: factors, computed once (the fault set is fixed per run)
     _edges: tuple[float, ...] | None = field(default=None, repr=False)
+    _factors: list[tuple[float, float]] = field(default_factory=list, repr=False)
 
     def advance_compute(self, work_units: float) -> tuple[float, float]:
         """Advance by ``work_units`` of computation; return (start, end)."""
@@ -43,27 +52,33 @@ class RankClock:
         t = self.now
         remaining = work_units
         slice_us = max(1.0, self.machine.noise.jitter_slice_us)
+        node_id = self.node.node_id
         edges = self._edges
         if edges is None:
             edges = self._edges = tuple(fault_boundaries(self.faults))
+            self._factors = node_factor_segments(self.faults, node_id)
+        factors = self._factors
         n_edges = len(edges)
         edge_i = bisect_right(edges, t) if n_edges else 0
         # Hot loop: one step per jitter slice.  Lookups are hoisted and the
-        # speed blend inlined; with no faults the factor calls are skipped
-        # (they would return exactly 1.0).
+        # speed blend inlined; the fault factors are read from the
+        # per-segment table, and with no faults they are skipped (they
+        # would be exactly 1.0).
         faults = self.faults
-        node_id = self.node.node_id
         cpu_speed = self.node.cpu_speed
         mem_perf = self.node.mem_perf
         frac = self.machine.mem_fraction
         speed_multiplier = self.noise.speed_multiplier
-        # Hard cap on integration steps to guarantee termination even with
-        # pathological (zero-speed) configurations.
-        for _ in range(10_000_000):
+        # Hard cap on integration steps: a pathological (zero-speed)
+        # configuration fails loudly instead of looping forever.
+        for _ in range(MAX_INTEGRATION_STEPS):
+            while edge_i < n_edges and edges[edge_i] <= t:
+                edge_i += 1
             if faults:
-                cpu = cpu_speed * cpu_factor_at(faults, node_id, t)
+                cpu_f, mem_f = factors[edge_i]
+                cpu = cpu_speed * cpu_f
                 cpu *= speed_multiplier(t)
-                mem = mem_perf * mem_factor_at(faults, node_id, t)
+                mem = mem_perf * mem_f
             else:
                 cpu = cpu_speed * speed_multiplier(t)
                 mem = mem_perf
@@ -71,8 +86,6 @@ class RankClock:
             speed = 1.0 / denom
             # Next boundary where speed may change.
             boundary = (int(t / slice_us) + 1) * slice_us
-            while edge_i < n_edges and edges[edge_i] <= t:
-                edge_i += 1
             if edge_i < n_edges and edges[edge_i] < boundary:
                 boundary = edges[edge_i]
             dt_max = boundary - t
@@ -83,6 +96,12 @@ class RankClock:
                 break
             remaining -= speed * dt_max
             t = boundary
+        else:
+            raise SimulationError(
+                f"rank {self.rank}: {work_units!r} work units did not finish "
+                f"within {MAX_INTEGRATION_STEPS} integration steps from "
+                f"t={start!r} (stuck at t={t!r})"
+            )
         # Periodic interrupt loss stretches the window.
         t += self.noise.interrupt_loss(start, t)
         self.now = t
@@ -97,13 +116,3 @@ class RankClock:
     def wait_until(self, t: float) -> None:
         if t > self.now:
             self.now = t
-
-    def _effective_speed(self, t: float) -> float:
-        cpu = self.node.cpu_speed * cpu_factor_at(self.faults, self.node.node_id, t)
-        cpu *= self.noise.speed_multiplier(t)
-        mem = self.node.mem_perf * mem_factor_at(self.faults, self.node.node_id, t)
-        frac = self.machine.mem_fraction
-        # A job split between CPU-bound and memory-bound fractions: total
-        # time = work * (cpu_frac/cpu_speed + mem_frac/mem_speed).
-        denom = (1.0 - frac) / max(cpu, 1e-9) + frac / max(cpu * mem, 1e-9)
-        return 1.0 / denom

@@ -15,6 +15,7 @@ directly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -76,7 +77,9 @@ class IoDegradation(Fault):
 
 
 def check_fault_nodes(faults: tuple[Fault, ...], machine) -> None:
-    """Reject a fault naming a node ``machine`` does not have."""
+    """Reject a malformed fault: a node ``machine`` does not have, a
+    non-finite or non-positive speed factor, a NaN window edge or a window
+    that ends before it starts."""
     for fault in faults:
         if isinstance(fault, (BadNode, SlowMemoryNode)):
             node_ids: tuple[int, ...] = (fault.node_id,)
@@ -87,6 +90,21 @@ def check_fault_nodes(faults: tuple[Fault, ...], machine) -> None:
             raise SimulationError(
                 f"{fault!r} names node(s) {missing}, but the machine has "
                 f"n_nodes={machine.n_nodes}"
+            )
+        for name in ("cpu_factor", "mem_factor", "factor"):
+            value = getattr(fault, name, None)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise SimulationError(
+                    f"{fault!r} has {name}={value!r}; a speed factor must be "
+                    f"finite and > 0"
+                )
+        t0 = getattr(fault, "t0", 0.0)
+        t1 = getattr(fault, "t1", float("inf"))
+        if math.isnan(t0) or math.isnan(t1):
+            raise SimulationError(f"{fault!r} has a NaN window edge")
+        if t1 < t0:
+            raise SimulationError(
+                f"{fault!r} ends before it starts (t1={t1!r} < t0={t0!r})"
             )
 
 
@@ -143,3 +161,21 @@ def fault_boundaries(faults: tuple[Fault, ...]) -> list[float]:
         if t1 is not None and t1 != float("inf"):
             edges.add(float(t1))
     return sorted(edges)
+
+
+def node_factor_segments(faults: tuple[Fault, ...], node_id: int) -> list[tuple[float, float]]:
+    """``(cpu, mem)`` factors of ``node_id`` per fault-edge segment.
+
+    Entry ``i`` holds the factors for every virtual time ``t >= 0`` with
+    ``bisect_right(fault_boundaries(faults), t) == i``.  Each window's
+    predicate ``t0 <= t < t1`` is constant on such a segment (a positive
+    ``t0`` and a finite ``t1`` are edges, and time never runs below 0), so
+    evaluating :func:`cpu_factor_at`/:func:`mem_factor_at` at the segment's
+    left edge, clamped to 0, gives exactly the floats -- the same products
+    in fault-tuple order -- that they give anywhere inside it.
+    """
+    starts = [0.0] + [max(edge, 0.0) for edge in fault_boundaries(faults)]
+    return [
+        (cpu_factor_at(faults, node_id, t), mem_factor_at(faults, node_id, t))
+        for t in starts
+    ]

@@ -5,16 +5,24 @@ and advances all lanes through the same slice-stepping integration loop as
 :meth:`repro.sim.clock.RankClock.advance_compute` — per lane, the sequence
 of float operations is *identical* to the scalar loop (same multiplies in
 the same order, same ``max(..., 1e-9)`` clamps, same slice/fault-edge
-boundaries), so the resulting timestamps are bit-identical.  Noise draws
-come from the same cached chunk arrays as the scalar path
-(:meth:`NodeNoise.speed_multipliers`), grouped per node.
+boundaries), so the resulting timestamps are bit-identical.  Fault factors
+come from the same per-segment table as the scalar path
+(:func:`repro.sim.faults.node_factor_segments`), gathered as
+``tab[seg, node]`` with ``seg`` the lane's fault-edge index: each fault
+window's predicate is constant on a segment, and the table holds the
+per-fault products in fault-tuple order, so a lookup equals re-deriving
+the factor at ``t``.  Noise draws come from the same cached chunk arrays
+as the scalar path (:meth:`NodeNoise.speed_multipliers`), grouped per
+node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.faults import BadNode, CpuContention, SlowMemoryNode, fault_boundaries
+from repro.errors import SimulationError
+from repro.sim import clock
+from repro.sim.faults import fault_boundaries, node_factor_segments
 
 
 class VectorClocks:
@@ -43,6 +51,17 @@ class VectorClocks:
         self.frac = self.machine.mem_fraction
         self.slice_us = max(1.0, self.machine.noise.jitter_slice_us)
         self.edges = np.array(fault_boundaries(self.faults), dtype=np.float64)
+        # (segment, node) fault-factor tables: a lane's factors are
+        # cpu_tab[seg, node], seg being the searchsorted edge index.
+        tab = np.array(
+            [
+                node_factor_segments(self.faults, nid)
+                for nid in range(int(self.node_ids.max()) + 1)
+            ],
+            dtype=np.float64,
+        )
+        self.cpu_tab = np.ascontiguousarray(tab[:, :, 0].T)
+        self.mem_tab = np.ascontiguousarray(tab[:, :, 1].T)
         # Group lanes by node so one NodeNoise serves each node's draws.
         groups: list = []
         group_of = np.empty(self.n, dtype=np.int64)
@@ -62,7 +81,7 @@ class VectorClocks:
         self._jitter_stacks: dict[int, np.ndarray] = {}
         self._spike_stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- noise / fault factor gathers ---------------------------------------
+    # -- noise gathers -------------------------------------------------------
 
     def _speed_multipliers(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         groups = self._noise_groups
@@ -120,34 +139,6 @@ class VectorClocks:
                 out[m] = noise.speed_multipliers(t[m])
         return out
 
-    def _cpu_factors(self, nids: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # Mirrors faults.cpu_factor_at: one multiplicative pass per fault,
-        # in fault-tuple order, so per-lane products match bit for bit.
-        f = np.ones(len(t))
-        for fault in self.faults:
-            if isinstance(fault, BadNode):
-                m = (nids == fault.node_id) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.cpu_factor
-            elif isinstance(fault, CpuContention):
-                m = np.isin(nids, fault.node_ids) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.cpu_factor
-        return f
-
-    def _mem_factors(self, nids: np.ndarray, t: np.ndarray) -> np.ndarray:
-        f = np.ones(len(t))
-        for fault in self.faults:
-            if isinstance(fault, (BadNode, SlowMemoryNode)):
-                m = (nids == fault.node_id) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.mem_factor
-            elif isinstance(fault, CpuContention):
-                m = np.isin(nids, fault.node_ids) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.mem_factor
-        return f
-
     def _interrupt_losses(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         # interrupt_loss depends only on the (machine-wide) NoiseConfig, so
         # any group's NodeNoise serves every lane.
@@ -171,15 +162,21 @@ class VectorClocks:
         edges = self.edges
         n_edges = len(edges)
         have_faults = bool(self.faults)
+        cpu_tab = self.cpu_tab
+        mem_tab = self.mem_tab
+        seg = 0
         # Per round: every still-active lane takes exactly the step the
         # scalar loop would take, with identical float operations.
         live = np.arange(idx.size)
-        for _ in range(10_000_000):
+        for _ in range(clock.MAX_INTEGRATION_STEPS):
             ta = t[live]
+            if n_edges:
+                seg = np.searchsorted(edges, ta, side="right")
             if have_faults:
-                cpu = cpu_speed[live] * self._cpu_factors(nids[live], ta)
+                lanes = nids[live]
+                cpu = cpu_speed[live] * cpu_tab[seg, lanes]
                 cpu = cpu * self._speed_multipliers(idx[live], ta)
-                mem = mem_perf[live] * self._mem_factors(nids[live], ta)
+                mem = mem_perf[live] * mem_tab[seg, lanes]
             else:
                 cpu = cpu_speed[live] * self._speed_multipliers(idx[live], ta)
                 mem = mem_perf[live]
@@ -189,10 +186,9 @@ class VectorClocks:
             speed = 1.0 / denom
             boundary = ((ta / slice_us).astype(np.int64) + 1) * slice_us
             if n_edges:
-                ei = np.searchsorted(edges, ta, side="right")
-                has_edge = ei < n_edges
+                has_edge = seg < n_edges
                 if has_edge.any():
-                    nxt = edges[np.minimum(ei, n_edges - 1)]
+                    nxt = edges[np.minimum(seg, n_edges - 1)]
                     closer = has_edge & (nxt < boundary)
                     boundary[closer] = nxt[closer]
             dt_max = boundary - ta
@@ -211,6 +207,12 @@ class VectorClocks:
             else:
                 remaining[live] -= speed * dt_max
                 t[live] = boundary
+        else:
+            ranks = [self.interps[pos].clock.rank for pos in idx[live]]
+            raise SimulationError(
+                f"ranks {ranks}: compute did not finish within "
+                f"{clock.MAX_INTEGRATION_STEPS} integration steps"
+            )
         t += self._interrupt_losses(start, t)
         self.now[idx] = t
 

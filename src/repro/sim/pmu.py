@@ -12,11 +12,12 @@ pressure at the time of the reading.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.faults import Fault, mem_factor_at
+from repro.sim.faults import Fault, fault_boundaries, node_factor_segments
 
 
 @dataclass(slots=True)
@@ -31,8 +32,8 @@ class Pmu:
     def __init__(self, seed: int, rank: int, faults: tuple[Fault, ...], node_id: int,
                  relative_error: float = 0.01, base_miss_rate: float = 0.05) -> None:
         self._rng = np.random.default_rng(np.random.SeedSequence([seed & 0x7FFFFFFF, 77_000 + rank]))
-        self._faults = faults
-        self._node_id = node_id
+        self._edges = fault_boundaries(faults)
+        self._mem = [mem for _, mem in node_factor_segments(faults, node_id)]
         self._relative_error = relative_error
         self._base_miss_rate = base_miss_rate
 
@@ -40,7 +41,7 @@ class Pmu:
         err = 1.0 + abs(float(self._rng.normal(0.0, self._relative_error)))
         # Counters overcount, never undercount (matches measured behaviour).
         instructions = true_work * err
-        mem = mem_factor_at(self._faults, self._node_id, t)
+        mem = self._mem[bisect_right(self._edges, t)]
         # Degraded memory shows up as elevated miss rates.
         miss = min(0.95, self._base_miss_rate * (1.0 / max(mem, 0.05)) ** 1.5)
         miss *= 1.0 + 0.1 * float(self._rng.random())

@@ -2,8 +2,18 @@
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.sim import clock as clock_module
 from repro.sim.clock import RankClock
-from repro.sim.faults import BadNode, CpuContention, SlowMemoryNode
+from repro.sim.faults import (
+    BadNode,
+    CpuContention,
+    NetworkDegradation,
+    SlowMemoryNode,
+    cpu_factor_at,
+    fault_boundaries,
+    mem_factor_at,
+)
 from repro.sim.machine import MachineConfig, NodeConfig
 from repro.sim.noise import NodeNoise, NoiseConfig
 
@@ -110,3 +120,81 @@ def test_determinism_across_instances():
     a = make_clock(noise=NoiseConfig())
     b = make_clock(noise=NoiseConfig())
     assert a.advance_compute(500.0) == b.advance_compute(500.0)
+
+
+# -- reference integrator -----------------------------------------------------
+
+
+def reference_advance(clock, work_units):
+    """The per-step integrator: re-derives the fault factors with
+    ``cpu_factor_at``/``mem_factor_at`` at every step.  ``RankClock``
+    looks them up in a per-segment table instead and must match this bit
+    for bit."""
+    start = clock.now
+    if work_units <= 0:
+        return start, start
+    t = start
+    remaining = work_units
+    slice_us = max(1.0, clock.machine.noise.jitter_slice_us)
+    edges = fault_boundaries(clock.faults)
+    node_id = clock.node.node_id
+    frac = clock.machine.mem_fraction
+    while True:
+        cpu = clock.node.cpu_speed * cpu_factor_at(clock.faults, node_id, t)
+        cpu *= clock.noise.speed_multiplier(t)
+        mem = clock.node.mem_perf * mem_factor_at(clock.faults, node_id, t)
+        denom = (1.0 - frac) / max(cpu, 1e-9) + frac / max(cpu * mem, 1e-9)
+        speed = 1.0 / denom
+        boundary = (int(t / slice_us) + 1) * slice_us
+        nxt = [e for e in edges if e > t]
+        if nxt and nxt[0] < boundary:
+            boundary = nxt[0]
+        dt_max = boundary - t
+        dt_needed = remaining / max(speed, 1e-9)
+        if dt_needed <= dt_max:
+            t += dt_needed
+            break
+        remaining -= speed * dt_max
+        t = boundary
+    t += clock.noise.interrupt_loss(start, t)
+    clock.now = t
+    return start, t
+
+
+#: timed, overlapping windows on node 0 (slice = 50 us): one starts at 0,
+#: t1=150 and t0=400 fall exactly on slice boundaries, 430.5 does not;
+#: the node-1 and network faults add edges that change nothing on node 0
+_TIMED_FAULTS = (
+    CpuContention(node_ids=(0, 1), t0=0.0, t1=150.0, cpu_factor=0.5, mem_factor=0.8),
+    BadNode(node_id=0, cpu_factor=0.7, mem_factor=0.9, t0=120.0, t1=430.5),
+    SlowMemoryNode(node_id=0, mem_factor=0.55, t0=400.0),
+    CpuContention(node_ids=(1,), t0=275.0, t1=610.0, cpu_factor=0.3),
+    NetworkDegradation(t0=90.0, t1=333.3),
+)
+
+
+@pytest.mark.parametrize("noise", [None, NoiseConfig()], ids=["quiet", "noisy"])
+def test_segment_table_matches_reference_integrator(noise):
+    clock = make_clock(faults=_TIMED_FAULTS, noise=noise)
+    ref = make_clock(faults=_TIMED_FAULTS, noise=noise)
+    for work in (7.0, 33.3, 61.0, 0.0, 140.25, 12.5, 250.0, 3.0):
+        assert clock.advance_compute(work) == reference_advance(ref, work)
+    assert clock.now > 610.0
+
+
+@pytest.mark.parametrize("edge", [120.0, 150.0, 400.0, 430.5])
+def test_advance_starting_exactly_on_an_edge(edge):
+    clock = make_clock(faults=_TIMED_FAULTS, noise=NoiseConfig())
+    ref = make_clock(faults=_TIMED_FAULTS, noise=NoiseConfig())
+    clock.wait_until(edge)
+    ref.wait_until(edge)
+    assert clock.advance_compute(75.0) == reference_advance(ref, 75.0)
+    assert clock.advance_compute(75.0) == reference_advance(ref, 75.0)
+
+
+def test_exhausted_integration_cap_raises(monkeypatch):
+    monkeypatch.setattr(clock_module, "MAX_INTEGRATION_STEPS", 4)
+    clock = make_clock(noise=NoiseConfig())
+    clock.advance_compute(10.0)  # fits in a few slices
+    with pytest.raises(SimulationError, match="rank 0"):
+        clock.advance_compute(10_000.0)

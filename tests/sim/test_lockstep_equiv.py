@@ -19,7 +19,14 @@ from repro.api import compile_and_instrument
 from repro.frontend import parse_source
 from repro.obs import Obs
 from repro.sim.engine import Simulator
-from repro.sim.faults import BadNode, IoDegradation, NetworkDegradation
+from repro.sim.faults import (
+    BadNode,
+    CpuContention,
+    IoDegradation,
+    NetworkDegradation,
+    SlowMemoryNode,
+    fault_boundaries,
+)
 from repro.sim.hooks import RuntimeHooks
 from repro.sim.machine import MachineConfig
 from repro.workloads import all_workloads
@@ -99,6 +106,45 @@ def test_instrumented_with_fault_identical(name):
     assert results["bytecode"] == results["lockstep"]
     assert streams["bytecode"] == streams["lockstep"]
     assert streams["lockstep"]
+
+
+def _timed_faults(span: float) -> tuple:
+    """Timed, overlapping CPU/memory windows across the run of ``span`` us."""
+    return (
+        CpuContention(node_ids=(0,), t0=0.0, t1=0.15 * span, cpu_factor=0.5),
+        CpuContention(node_ids=(1, 2), t0=0.3 * span, t1=0.6 * span, cpu_factor=0.4),
+        BadNode(node_id=2, cpu_factor=0.7, mem_factor=0.6, t0=0.45 * span, t1=0.75 * span),
+        SlowMemoryNode(node_id=3, mem_factor=0.55, t0=0.5 * span),
+    )
+
+
+@pytest.mark.parametrize("name", ["CG", "LULESH"])
+def test_timed_overlapping_fault_windows_identical(name):
+    """Lanes on four nodes cross CPU/memory fault edges mid-run."""
+    wl = all_workloads()[name]
+    static = compile_and_instrument(wl.source())
+    machine = wl.machine(n_ranks=16, ranks_per_node=4)
+    span = Simulator(
+        static.program.module, machine, sensors=static.program.sensors
+    ).run().total_time
+    faults = _timed_faults(span)
+    streams = {}
+    results = {}
+    for engine in ("bytecode", "lockstep"):
+        rec = _Recorder()
+        results[engine] = Simulator(
+            static.program.module,
+            machine,
+            faults=faults,
+            sensors=static.program.sensors,
+            engine=engine,
+        ).run(rec)
+        streams[engine] = rec.events
+    assert results["bytecode"] == results["lockstep"]
+    assert streams["bytecode"] == streams["lockstep"]
+    # the run crosses every window edge, and the windows slow it down
+    assert results["lockstep"].total_time > max(fault_boundaries(faults))
+    assert results["lockstep"].total_time > span
 
 
 def test_function_event_stream_identical():
