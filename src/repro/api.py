@@ -424,6 +424,7 @@ def simulate_job(
         rule=spec.rule or NoGrouping(),
         server=_BatchRecorder(batch_period_us),  # type: ignore[arg-type]
         obs=obs,
+        job_id=job_id,
     )
     with obs.tracer.span("vsensor.simulate", engine=spec.engine, job=job_id):
         sim = Simulator(

@@ -64,7 +64,9 @@ def _segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     starts = bounds[:-1]
     lengths = bounds[1:] - starts
     means = np.empty(len(starts), np.float64)
-    for length in np.unique(lengths).tolist():
+    # The distinct lengths, ascending.  (np.unique would do, but its first
+    # call in a process imports numpy.ma, ~30 ms.)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         mask = lengths == length
         idx = starts[mask][:, None] + np.arange(length, dtype=np.int64)
         means[mask] = values[idx].mean(axis=1)
@@ -80,12 +82,26 @@ class ColumnarStore:
     date (returning what kind of epoch it was, for observability), and
     the query kernels (:meth:`matrix`, :meth:`inter_blocks`) assume
     :meth:`replay` ran first.
+
+    Object-form batches are small and frequent, so
+    :meth:`ingest_summaries` only dedups, interns and stages each kept
+    row as a tuple; the staged rows reach the columns in one bulk copy
+    the next time anything reads the columns.  Wire-path batches
+    (:meth:`ingest_columns`) and column pulls (:meth:`ingest_store`)
+    materialize the staged rows before appending their own, so insertion
+    order is arrival order on every path.
     """
 
     def __init__(self, window_us: float) -> None:
         self.window_us = window_us
+        #: materialized rows; staged rows come after them
         self.n = 0
         self._cap = 0
+        #: kept rows not yet copied into the columns, one tuple each in
+        #: column order (every column but ``window``)
+        self._staged: list[tuple] = []
+        #: largest ``window`` of any materialized row (0 when none is higher)
+        self.max_window = 0
         self._cols: dict[str, np.ndarray] = {
             name: np.empty(0, dtype) for name, dtype in _COLUMNS
         }
@@ -106,7 +122,7 @@ class ColumnarStore:
         self._last_key: tuple[int, int, int, str] | None = None
 
     def __len__(self) -> int:
-        return self.n
+        return self.n + len(self._staged)
 
     # -- interning ---------------------------------------------------------
 
@@ -152,88 +168,101 @@ class ColumnarStore:
         self._perf = perf
         self._cap = cap
 
-    def _append(self, staged: dict[str, np.ndarray]) -> None:
-        k = len(staged["rank"])
-        need = self.n + k
-        self._grow(need)
-        for name, _ in _COLUMNS:
-            self._cols[name][self.n : need] = staged[name]
-        self.n = need
+    def _append(self, columns: dict[str, object], k: int) -> None:
+        """Append ``k`` rows given as every column but ``window``.
+
+        ``window`` is derived from the stored ``t_start`` values with one
+        ``np.floor_divide``, and :attr:`max_window` follows it.
+        """
+        start, stop = self.n, self.n + k
+        self._grow(stop)
+        cols = self._cols
+        for name, values in columns.items():
+            cols[name][start:stop] = values
+        window = np.floor_divide(cols["t_start"][start:stop], self.window_us).astype(np.int64)
+        cols["window"][start:stop] = window
+        self.max_window = max(self.max_window, int(window.max()))
+        self.n = stop
+
+    def _materialize(self) -> None:
+        """Copy the staged rows into the columns, in staging order.
+
+        Runs before anything reads the columns (replay, export, column
+        pulls) and before wire-path rows are appended, so insertion order
+        is staging order and every staged row lands in one bulk copy.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        # zip stops at the staged tuple's width: every column but window.
+        self._append(
+            {name: values for (name, _), values in zip(_COLUMNS, zip(*staged))},
+            len(staged),
+        )
+        staged.clear()
 
     def ingest_summaries(
         self,
         summaries: list[SliceSummary],
         sensor_types: dict,
         last_seen: dict[int, float],
-    ) -> tuple[int, int | None]:
-        """Append deduplicated object-form summaries.
+    ) -> int:
+        """Stage deduplicated object-form summaries; return the duplicates.
 
-        Returns ``(duplicates, max_window)`` where ``max_window`` is None
-        when every row was a duplicate.  ``sensor_types`` / ``last_seen``
-        are the server's trackers, updated exactly as the reference
-        ``_ingest`` does (kept rows only).
+        ``sensor_types`` / ``last_seen`` are the server's trackers, updated
+        exactly as the reference ``_ingest`` does (kept rows only).  Kept
+        rows wait in a staging list until :meth:`_materialize`.
         """
         keys = self._keys
-        ranks: list[int] = []
-        sensors: list[int] = []
-        groups: list[int] = []
-        slices: list[int] = []
-        t_starts: list[float] = []
-        durations: list[float] = []
-        counts: list[int] = []
-        misses: list[float] = []
-        stypes: list[int] = []
+        codes = self._group_codes
+        stage = self._staged.append
         duplicates = 0
         for s in summaries:
-            code = self._intern(s.group)
-            key = (s.rank, s.sensor_id, code, s.slice_index)
+            group = s.group
+            code = codes.get(group)
+            if code is None:
+                code = self._intern(group)
+            rank = s.rank
+            sensor_id = s.sensor_id
+            slice_index = s.slice_index
+            key = (rank, sensor_id, code, slice_index)
             if key in keys:
                 duplicates += 1
                 continue
             keys.add(key)
-            ranks.append(s.rank)
-            sensors.append(s.sensor_id)
-            groups.append(code)
-            slices.append(s.slice_index)
-            t_starts.append(s.t_slice_start)
-            durations.append(s.mean_duration)
-            counts.append(s.count)
-            misses.append(s.mean_cache_miss)
-            stypes.append(SENSOR_TYPE_CODE[s.sensor_type])
-            sensor_types[s.sensor_id] = s.sensor_type
-            last = last_seen.get(s.rank)
-            if last is None or s.t_slice_start > last:
-                last_seen[s.rank] = s.t_slice_start
-        if not ranks:
-            return duplicates, None
-        t_arr = np.asarray(t_starts, np.float64)
-        window = np.floor_divide(t_arr, self.window_us).astype(np.int64)
-        self._append(
-            {
-                "rank": np.asarray(ranks, np.int64),
-                "sensor": np.asarray(sensors, np.int64),
-                "group": np.asarray(groups, np.int64),
-                "slice": np.asarray(slices, np.int64),
-                "t_start": t_arr,
-                "duration": np.asarray(durations, np.float64),
-                "count": np.asarray(counts, np.int64),
-                "miss": np.asarray(misses, np.float64),
-                "stype": np.asarray(stypes, np.int8),
-                "window": window,
-            }
-        )
-        return duplicates, int(window.max())
+            t_start = s.t_slice_start
+            stype = s.sensor_type
+            stage(
+                (
+                    rank,
+                    sensor_id,
+                    code,
+                    slice_index,
+                    t_start,
+                    s.mean_duration,
+                    s.count,
+                    s.mean_cache_miss,
+                    SENSOR_TYPE_CODE[stype],
+                )
+            )
+            sensor_types[sensor_id] = stype
+            last = last_seen.get(rank)
+            if last is None or t_start > last:
+                last_seen[rank] = t_start
+        return duplicates
 
     def ingest_columns(
         self,
         cols: SummaryColumns,
         sensor_types: dict,
         last_seen: dict[int, float],
-    ) -> tuple[int, int | None]:
-        """Append a zero-copy decoded batch (column arrays, one rank)."""
+    ) -> int:
+        """Append a zero-copy decoded batch (column arrays, one rank);
+        return the duplicates."""
         n = len(cols)
         if n == 0:
-            return 0, None
+            return 0
+        self._materialize()
         local_codes, inverse = np.unique(cols.group_code, return_inverse=True)
         remap = np.empty(len(local_codes), np.int64)
         for i, local in enumerate(local_codes.tolist()):
@@ -255,18 +284,17 @@ class ColumnarStore:
             else:
                 keys.add(key)
         if not keep.any():
-            return duplicates, None
+            return duplicates
         if duplicates:
             sensors = sensors[keep]
             slices = slices[keep]
             store_codes = store_codes[keep]
         t_arr = cols.t_slice_start[keep] if duplicates else cols.t_slice_start
         stype_codes = cols.sensor_type_code[keep] if duplicates else cols.sensor_type_code
-        window = np.floor_divide(np.asarray(t_arr, np.float64), self.window_us).astype(np.int64)
         k = len(sensors)
         self._append(
             {
-                "rank": np.full(k, rank, np.int64),
+                "rank": rank,
                 "sensor": sensors,
                 "group": store_codes,
                 "slice": slices,
@@ -275,8 +303,8 @@ class ColumnarStore:
                 "count": (cols.count[keep] if duplicates else cols.count).astype(np.int64),
                 "miss": (cols.mean_cache_miss[keep] if duplicates else cols.mean_cache_miss).astype(np.float64),
                 "stype": np.asarray(stype_codes, np.int8),
-                "window": window,
-            }
+            },
+            k,
         )
         # Last occurrence wins per sensor, as in sequential ingest.
         flipped_sensors = sensors[::-1]
@@ -288,17 +316,90 @@ class ColumnarStore:
         last = last_seen.get(rank)
         if last is None or t_max > last:
             last_seen[rank] = t_max
-        return duplicates, int(window.max())
+        return duplicates
+
+    def ingest_store(
+        self,
+        src: "ColumnarStore",
+        start: int,
+        sensor_types: dict,
+        last_seen: dict[int, float],
+    ) -> tuple[int, int]:
+        """Append ``src``'s rows from insertion position ``start`` on.
+
+        The rows are copied column by column; group codes are remapped
+        through their strings, interned in first-seen order.  Dedup and
+        the trackers run row by row in ``src``'s insertion order, as if
+        the rows had arrived as summaries.  Returns ``(duplicates,
+        cursor)``, the cursor being ``src``'s row count.
+        """
+        src._materialize()
+        self._materialize()
+        stop = src.n
+        if start >= stop:
+            return 0, stop
+        sel = slice(start, stop)
+        cols = src._cols
+        src_codes = cols["group"][sel]
+        uniq, first = np.unique(src_codes, return_index=True)
+        remap = np.zeros(len(src._group_strs), np.int64)
+        for code in uniq[np.argsort(first)].tolist():
+            remap[code] = self._intern(src._group_strs[code])
+        store_codes = remap[src_codes]
+        ranks = cols["rank"][sel]
+        sensors = cols["sensor"][sel]
+        slices = cols["slice"][sel]
+        t_starts = cols["t_start"][sel]
+        stypes = cols["stype"][sel]
+        keys = self._keys
+        keep = np.ones(stop - start, bool)
+        duplicates = 0
+        for i, (rank, sensor_id, code, slice_index, t_start, stype) in enumerate(
+            zip(
+                ranks.tolist(),
+                sensors.tolist(),
+                store_codes.tolist(),
+                slices.tolist(),
+                t_starts.tolist(),
+                stypes.tolist(),
+            )
+        ):
+            key = (rank, sensor_id, code, slice_index)
+            if key in keys:
+                keep[i] = False
+                duplicates += 1
+                continue
+            keys.add(key)
+            sensor_types[sensor_id] = CODE_SENSOR_TYPE[stype]
+            last = last_seen.get(rank)
+            if last is None or t_start > last:
+                last_seen[rank] = t_start
+        block = {
+            "rank": ranks,
+            "sensor": sensors,
+            "group": store_codes,
+            "slice": slices,
+            "t_start": t_starts,
+            "duration": cols["duration"][sel],
+            "count": cols["count"][sel],
+            "miss": cols["miss"][sel],
+            "stype": stypes,
+        }
+        k = stop - start - duplicates
+        if duplicates:
+            block = {name: values[keep] for name, values in block.items()}
+        if k:
+            self._append(block, k)
+        return duplicates, stop
 
     # -- export ------------------------------------------------------------
 
-    def export_summaries(self, start: int, stop: int) -> list[SliceSummary]:
-        """Materialize stored rows ``[start, stop)`` in insertion order.
+    def export_summaries(self, start: int) -> list[SliceSummary]:
+        """Materialize stored rows from ``start`` on, in insertion order.
 
-        Rows are append-only, so insertion positions are stable cursors;
-        the sharded service's query merger uses them to gather only the
-        rows appended since its last refresh."""
-        stop = min(stop, self.n)
+        Rows are append-only, so insertion positions are stable cursors."""
+        self._materialize()
+        stop = self.n
         if start >= stop:
             return []
         cols = self._cols
@@ -332,7 +433,7 @@ class ColumnarStore:
     # -- canonical replay --------------------------------------------------
 
     def pending(self) -> bool:
-        return self._replayed < self.n
+        return self._replayed < len(self)
 
     def _canonical_order(self, idx: np.ndarray) -> np.ndarray:
         """Sort row indices by (slice, rank, sensor, group string)."""
@@ -367,6 +468,7 @@ class ColumnarStore:
         then the sorted base is extended and the history state rolls
         forward; otherwise the whole store is re-sorted and re-observed.
         """
+        self._materialize()
         n = self.n
         if self._replayed == n:
             return None

@@ -58,11 +58,15 @@ class RankDetector:
     metrics: object | None = None
     #: the §5.3 rule object; ``None`` builds a default sharing :attr:`shutoff`
     lifecycle: PaperShutoff | None = None
+    #: tenant stamped on this rank's slice summaries
+    job_id: int = 0
     _aggregator: SliceAggregator = None  # type: ignore[assignment]
     records_processed: int = 0
 
     def __post_init__(self) -> None:
-        self._aggregator = SliceAggregator(rank=self.rank, slice_us=self.config.slice_us)
+        self._aggregator = SliceAggregator(
+            rank=self.rank, slice_us=self.config.slice_us, job_id=self.job_id
+        )
         if self.lifecycle is None:
             self.lifecycle = PaperShutoff(
                 min_duration_us=self.config.min_duration_us,

@@ -26,6 +26,7 @@ from repro.sim.faults import (
     IoDegradation,
     NetworkDegradation,
     SlowMemoryNode,
+    check_fault_nodes,
 )
 from repro.sim.machine import MachineConfig
 
@@ -55,7 +56,12 @@ def ground_truth_of(
     machine: MachineConfig,
     total_time_us: float,
 ) -> list[GroundTruth]:
-    """Translate fault objects into expected report coordinates."""
+    """Translate fault objects into expected report coordinates.
+
+    Raises :class:`~repro.errors.SimulationError` naming the fault for a
+    fault the :class:`~repro.sim.Simulator` would reject, e.g. one on a
+    node ``machine`` does not have."""
+    check_fault_nodes(tuple(faults), machine)
     out: list[GroundTruth] = []
     for fault in faults:
         if isinstance(fault, (SlowMemoryNode, BadNode)):

@@ -109,6 +109,8 @@ class AnalysisServer:
     _store: dict[tuple[int, int, str, int], SliceSummary] = field(default_factory=dict)
     #: per-rank sequence trackers (cumulative watermark + gap set)
     _seqs: dict[int, SequenceTracker] = field(default_factory=dict)
+    #: largest window index stored (reference engine; the columnar store
+    #: keeps its own ``max_window``)
     _max_window: int = 0
     _sensor_types: dict[int, SensorType] = field(default_factory=dict)
     #: virtual time of the freshest slice each rank has reported
@@ -157,10 +159,9 @@ class AnalysisServer:
             self.metrics.counter("server.batches").inc()
             self.metrics.counter("server.summaries").inc(len(summaries))
         if self._columns is not None:
-            duplicates, max_window = self._columns.ingest_summaries(
-                summaries, self._sensor_types, self._last_seen
+            self._note_duplicates(
+                self._columns.ingest_summaries(summaries, self._sensor_types, self._last_seen)
             )
-            self._note_ingest(duplicates, max_window)
         else:
             for summary in summaries:
                 self._ingest(summary)
@@ -194,23 +195,20 @@ class AnalysisServer:
             self.metrics.counter("server.batches").inc()
             self.metrics.counter("server.summaries").inc(len(columns))
         if self._columns is not None:
-            duplicates, max_window = self._columns.ingest_columns(
-                columns, self._sensor_types, self._last_seen
+            self._note_duplicates(
+                self._columns.ingest_columns(columns, self._sensor_types, self._last_seen)
             )
-            self._note_ingest(duplicates, max_window)
         else:
             for summary in columns.to_summaries():
                 self._ingest(summary)
         return True
 
-    def _note_ingest(self, duplicates: int, max_window: int | None) -> None:
-        """Fold one columnar ingest's outcome into the server counters."""
+    def _note_duplicates(self, duplicates: int) -> None:
+        """Fold one columnar ingest's identity duplicates into the counters."""
         if duplicates:
             self.duplicate_summaries += duplicates
             if self.metrics is not None:
                 self.metrics.counter("server.duplicate_summaries").inc(duplicates)
-        if max_window is not None and max_window > self._max_window:
-            self._max_window = max_window
 
     def _advance_watermark(self, rank: int, seq: int) -> bool:
         """Record one received sequence number; False if already seen."""
@@ -255,13 +253,34 @@ class AnalysisServer:
 
         The store is append-only (deduplicated rows are never reordered or
         removed), so ``(rows, total)`` lets a caller keep a cursor and pull
-        only the delta on each call — the shard → query-merger gather path
-        of the sharded analysis service."""
+        only the delta on each call."""
         if self._columns is not None:
-            total = len(self._columns)
-            return self._columns.export_summaries(start, total), total
+            rows = self._columns.export_summaries(start)
+            return rows, len(self._columns)
         rows = list(self._store.values())
         return rows[start:], len(rows)
+
+    def pull_rows(self, source: "AnalysisServer", start: int = 0) -> int:
+        """Ingest ``source``'s stored rows from insertion position ``start``.
+
+        Rows enter in ``source``'s insertion order with the usual identity
+        dedup and tracker updates; transport counters do not move.  Returns
+        the cursor for the next pull (``source``'s stored row count).  Both
+        servers run the same engine: the columnar one copies column blocks
+        (:meth:`ColumnarStore.ingest_store`), the reference one iterates
+        the source's store.  This is the shard → query-merger gather path
+        of the sharded analysis service.
+        """
+        if self._columns is not None:
+            duplicates, total = self._columns.ingest_store(
+                source._columns, start, self._sensor_types, self._last_seen
+            )
+            self._note_duplicates(duplicates)
+            return total
+        rows = list(source._store.values())
+        for summary in rows[start:]:
+            self._ingest(summary)
+        return len(rows)
 
     # -- degradation / coverage --------------------------------------------
 
@@ -398,12 +417,13 @@ class AnalysisServer:
         Degraded ranks simply keep their NaN cells — partial telemetry
         must never crash matrix rendering.
         """
-        n_windows = self._max_window + 1
         if self._columns is not None:
             store = self._replay_columnar()
-            return store.matrix(SENSOR_TYPE_CODE[sensor_type], self.n_ranks, n_windows)
+            return store.matrix(
+                SENSOR_TYPE_CODE[sensor_type], self.n_ranks, store.max_window + 1
+            )
         analysis = self._replay()
-        matrix = np.full((self.n_ranks, n_windows), np.nan)
+        matrix = np.full((self.n_ranks, self._max_window + 1), np.nan)
         for (stype, window), ranks in analysis.cells.items():
             if stype is not sensor_type:
                 continue

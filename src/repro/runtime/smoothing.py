@@ -34,6 +34,8 @@ class SliceAggregator:
 
     rank: int
     slice_us: float = 1000.0
+    #: tenant stamped on every emitted summary
+    job_id: int = 0
     _open: dict[tuple[int, str], list] = field(default_factory=dict)
     _types: dict[int, SensorType] = field(default_factory=dict)
 
@@ -72,4 +74,5 @@ class SliceAggregator:
             mean_duration=total_duration / count,
             count=count,
             mean_cache_miss=total_miss / count,
+            job_id=self.job_id,
         )

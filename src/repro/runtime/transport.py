@@ -342,9 +342,9 @@ class ReliableTransport:
 
     Duck-types the server surface :class:`VSensorRuntime` uses (install
     with ``runtime.server = transport``): rank-side sends go through the
-    lossy channel, due envelopes are pumped into the real server, and the
-    server's cumulative ack watermark retires in-flight batches.  Acks
-    model the server's durable watermark being visible to ranks (the
+    lossy channel, due envelopes are pumped into the real server, and a
+    delivery the server accepts retires its in-flight batch.  Acks model
+    the server's durable watermark being visible to ranks (the
     shared-file analogue); the simulated faults apply to the data path.
     """
 
@@ -415,16 +415,29 @@ class ReliableTransport:
     # -- pump --------------------------------------------------------------
 
     def pump(self, now: float) -> None:
-        """Deliver due envelopes, retire acked batches, retransmit stale ones."""
+        """Deliver due envelopes, retire accepted batches, retransmit stale ones.
+
+        A batch retires the moment one of its deliveries comes back
+        accepted.  The server acks exactly the sequence numbers it
+        accepts, and only this transport delivers into it, so this is the
+        same set of batches a scan of the server's acks after the
+        deliveries would retire — and the retransmissions below, with the
+        channel's RNG draws, happen in the same order.
+        """
         self.clock = max(self.clock, now)
         for envelope in self.channel.deliver_due(self.clock):
+            key = (envelope.job, envelope.rank, envelope.seq)
             accepted = self.server.receive_batch(
                 envelope.rank,
                 list(envelope.payload),
                 seq=envelope.seq,
-                encoded_bytes=self._encoded.get((envelope.job, envelope.rank, envelope.seq)),
+                encoded_bytes=self._encoded.get(key),
             )
-            if not accepted:
+            if accepted:
+                retired = self._pending.pop(key, None)
+                if retired is not None and self.metrics is not None:
+                    self.metrics.counter("transport.batches_acked").inc()
+            else:
                 # An admission-controlled server (the sharded front) can
                 # attach a retry-after hint to a rejection; honoring it
                 # re-times the pending retransmit instead of counting the
@@ -434,7 +447,7 @@ class ReliableTransport:
                 if hint is not None:
                     retry_at = hint(envelope.rank, envelope.seq)
                 if retry_at is not None:
-                    pending = self._pending.get((envelope.job, envelope.rank, envelope.seq))
+                    pending = self._pending.get(key)
                     if pending is not None:
                         pending.next_retry_at = max(pending.next_retry_at, retry_at)
                     if self.metrics is not None:
@@ -442,11 +455,7 @@ class ReliableTransport:
                 else:
                     self.channel.stats.late += 1
         for key, pending in list(self._pending.items()):
-            if self.server.is_acked(pending.rank, pending.seq):
-                del self._pending[key]
-                if self.metrics is not None:
-                    self.metrics.counter("transport.batches_acked").inc()
-            elif pending.next_retry_at <= self.clock:
+            if pending.next_retry_at <= self.clock:
                 if pending.attempts >= self.policy.max_attempts:
                     del self._pending[key]
                     self.gave_up[pending.rank] = self.gave_up.get(pending.rank, 0) + 1

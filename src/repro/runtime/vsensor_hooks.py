@@ -45,6 +45,8 @@ class VSensorRuntime(RuntimeHooks):
     #: observability bundle; the disabled default keeps the per-record
     #: path free of tracer work (detectors get ``metrics=None``)
     obs: Obs = field(default_factory=lambda: NULL_OBS)
+    #: tenant stamped on every slice summary (multi-job runs)
+    job_id: int = 0
 
     def __post_init__(self) -> None:
         if self.server is None:
@@ -67,6 +69,7 @@ class VSensorRuntime(RuntimeHooks):
                 rule=self.rule,
                 metrics=metrics,
                 lifecycle=gov.lifecycle(rank) if gov is not None else None,
+                job_id=self.job_id,
             )
             self._buffers[rank] = []
             self._last_batch[rank] = 0.0

@@ -8,13 +8,15 @@
 
 * **ingest** — each job's :class:`~repro.runtime.transport.
   ReliableTransport` (or the runtime directly) calls ``receive_batch``;
-  the front dedups against the job's per-rank sequence watermark, tags
-  rows with the tenant's ``job_id``, splits the batch into per-shard
-  sub-batches, and applies admission control: if any target shard's
-  queue is full the whole batch is rejected *without consuming its
-  sequence number*, and a retry-after hint (the head-of-queue projected
-  completion) is parked for the transport's ``pop_retry_hint`` probe, so
-  its exponential backoff is re-timed instead of burning the wire.
+  the front dedups against the job's per-rank sequence watermark,
+  restamps any row carrying another tenant's ``job_id`` (rows made by
+  :func:`~repro.api.run_multi_job` are stamped at birth), splits the
+  batch into per-shard sub-batches, and applies admission control: if
+  any target shard's queue is full the whole batch is rejected *without
+  consuming its sequence number*, and a retry-after hint (the
+  head-of-queue projected completion) is parked for the transport's
+  ``pop_retry_hint`` probe, so its exponential backoff is re-timed
+  instead of burning the wire.
   When the service is built with ``rate_limit_rows_per_ms`` each tenant
   also gets a token bucket (rows per virtual millisecond, burst capacity
   ``rate_burst_rows``); a batch that would overdraw the bucket is
@@ -210,7 +212,9 @@ class TenantPort:
         )
         service.clock = now
         job = self.job_id
-        rows = [s if s.job_id == job else replace(s, job_id=job) for s in summaries]
+        rows = summaries
+        if any(s.job_id != job for s in summaries):
+            rows = [s if s.job_id == job else replace(s, job_id=job) for s in summaries]
         if tracker is not None and self._rate is not None:
             rate_per_us = self._rate / 1000.0
             self._tokens = min(

@@ -7,23 +7,22 @@ job's sensors spread across shards and the per-cell matrix means then
 mix sensors again.  Any distributive merge of shard matrices would
 diverge from the unsharded server in the last bits.
 
-So the merger merges *rows*: every shard store is append-only, and
-:meth:`~repro.runtime.server.AnalysisServer.export_rows` exposes stable
-insertion-position cursors, so each refresh gathers only the rows
-appended since the last one and re-ingests them into a per-job merged
-:class:`~repro.runtime.server.AnalysisServer`.  Ingest there is
-order-invariant and identity-deduplicated, and shard routing keys
-``(job, rank, sensor)`` are a function of the identity — so the merged
-store holds exactly the job's deduplicated rows and every query is
-bit-identical to an unsharded server by construction.  The differential
-suite in ``tests/service/test_shard_equiv.py`` pins that equivalence
-under random shard counts, interleavings and redelivery.
+So the merger merges *rows*: every shard store is append-only, so
+insertion positions are stable cursors, and each refresh pulls only the
+rows appended since the last one into a per-job merged
+:class:`~repro.runtime.server.AnalysisServer` — one
+:meth:`~repro.runtime.server.AnalysisServer.pull_rows` call per shard,
+which on the columnar engine copies the delta as column blocks straight
+from the shard store's columns.  Ingest there is order-invariant and
+identity-deduplicated, and shard routing keys ``(job, rank, sensor)``
+are a function of the identity — so the merged store holds exactly the
+job's deduplicated rows and every query is bit-identical to an unsharded
+server by construction.  The differential suite in
+``tests/service/test_shard_equiv.py`` pins that equivalence under random
+shard counts, interleavings and redelivery.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import attrgetter
 
 from repro.runtime.server import AnalysisServer
 
@@ -62,12 +61,10 @@ class QueryMerger:
             server = shard.servers.get(job)
             if server is None:
                 continue
-            rows, total = server.export_rows(self._cursors.get(shard.shard_id, 0))
+            cursor = self._cursors.get(shard.shard_id, 0)
+            total = merged.pull_rows(server, cursor)
+            pulled += total - cursor
             duplicate_summaries += server.duplicate_summaries
-            if rows:
-                pulled += len(rows)
-                for rank, run in groupby(rows, key=attrgetter("rank")):
-                    merged.receive_batch(rank, list(run))
             self._cursors[shard.shard_id] = total
         merged.degraded = set(port.degraded)
         merged.bytes_received = port.bytes_received

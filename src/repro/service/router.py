@@ -27,7 +27,8 @@ def _point(data: bytes) -> int:
 
 
 class ShardRouter:
-    """Immutable consistent-hash ring over ``n_shards`` workers."""
+    """Immutable consistent-hash ring over ``n_shards`` workers (with a
+    memo of the streams it has placed)."""
 
     def __init__(self, n_shards: int, vnodes: int = 64) -> None:
         if n_shards < 1:
@@ -41,14 +42,20 @@ class ShardRouter:
         points.sort()
         self._points = [p for p, _ in points]
         self._owners = [s for _, s in points]
+        #: (job, rank, sensor) -> shard; placement is a pure function
+        self._memo: dict[tuple[int, int, int], int] = {}
 
     def shard_of(self, job: int, rank: int, sensor_id: int) -> int:
         """Owning shard of one (job, rank, sensor) stream."""
-        key = _point(b"%d:%d:%d" % (job, rank, sensor_id))
-        idx = bisect.bisect_right(self._points, key)
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[idx]
+        stream = (job, rank, sensor_id)
+        shard = self._memo.get(stream)
+        if shard is None:
+            key = _point(b"%d:%d:%d" % stream)
+            idx = bisect.bisect_right(self._points, key)
+            if idx == len(self._points):
+                idx = 0
+            shard = self._memo[stream] = self._owners[idx]
+        return shard
 
     def split(
         self, job: int, rank: int, summaries: list[SliceSummary]
@@ -59,11 +66,11 @@ class ShardRouter:
         front -> shard hop replays each stream in send order.
         """
         out: dict[int, list[SliceSummary]] = {}
-        cache: dict[int, int] = {}
+        memo = self._memo
         for s in summaries:
-            shard = cache.get(s.sensor_id)
+            shard = memo.get((job, rank, s.sensor_id))
             if shard is None:
-                shard = cache[s.sensor_id] = self.shard_of(job, rank, s.sensor_id)
+                shard = self.shard_of(job, rank, s.sensor_id)
             out.setdefault(shard, []).append(s)
         return out
 

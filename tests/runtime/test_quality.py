@@ -3,10 +3,12 @@
 import pytest
 
 from repro.api import run_vsensor
+from repro.errors import SimulationError
 from repro.runtime.quality import GroundTruth, ground_truth_of, score_detection
 from repro.runtime.report import VarianceRegion, VarianceReport
 from repro.sensors.model import SensorType
 from repro.sim import (
+    BadNode,
     CpuContention,
     IoDegradation,
     MachineConfig,
@@ -62,6 +64,21 @@ class TestGroundTruth:
         machine = MachineConfig(n_ranks=4, ranks_per_node=4)
         truths = ground_truth_of([SlowMemoryNode(node_id=0)], machine, 5000.0)
         assert truths[0].t1 == 5000.0
+
+    @pytest.mark.parametrize(
+        "fault",
+        [CpuContention(node_ids=(5,), t0=0.0, t1=1000.0), BadNode(node_id=3)],
+        ids=repr,
+    )
+    def test_fault_on_missing_node_rejected(self, fault):
+        # 16 ranks at 8 per node: nodes 0 and 1 only.
+        machine = MachineConfig(n_ranks=16, ranks_per_node=8)
+        report = VarianceReport(n_ranks=16, total_time_us=1e6, window_us=100.0)
+        with pytest.raises(SimulationError, match="n_nodes=2") as excinfo:
+            ground_truth_of([fault], machine, 1e6)
+        assert repr(fault) in str(excinfo.value)
+        with pytest.raises(SimulationError, match="n_nodes=2"):
+            score_detection(report, [fault], machine)
 
 
 class TestOverlap:

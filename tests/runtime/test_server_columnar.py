@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import Obs
 from repro.runtime.history import SensorHistory, observe_block
-from repro.runtime.records import SliceSummary
+from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
 from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
 
@@ -191,6 +191,87 @@ def test_spool_drain_differential(pool, order_seed, drain_seed):
         _assert_equivalent(ref, col)
 
 
+def _columns_of(rank: int, batch: list[SliceSummary]) -> SummaryColumns:
+    """The wire-path (zero-copy decoded) form of one rank batch."""
+    table = dict(enumerate(sorted({s.group for s in batch})))
+    code_of = {group: code for code, group in table.items()}
+    return SummaryColumns(
+        rank=rank,
+        sensor_id=np.array([s.sensor_id for s in batch], np.int64),
+        sensor_type_code=np.array([SENSOR_TYPE_CODE[s.sensor_type] for s in batch], np.int64),
+        group_code=np.array([code_of[s.group] for s in batch], np.int64),
+        group_table=table,
+        slice_index=np.array([s.slice_index for s in batch], np.int64),
+        t_slice_start=np.array([s.t_slice_start for s in batch], np.float64),
+        mean_duration=np.array([s.mean_duration for s in batch], np.float64),
+        count=np.array([s.count for s in batch], np.int64),
+        mean_cache_miss=np.array([s.mean_cache_miss for s in batch], np.float64),
+    )
+
+
+@given(
+    pool=batch_pools(),
+    order_seed=st.integers(0, 2**32 - 1),
+    op_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_staged_ingest_matches_reference_and_eager_store(pool, order_seed, op_seed):
+    """Object-form batches are staged and copied into the columns only
+    when something reads them.  Interleave staged ingest, wire-path
+    ingest, cursor exports and queries (with redelivery): rows, exports,
+    matrices, history standards and counters equal the reference engine
+    and a columnar store that materializes after every batch."""
+    rng = random.Random(op_seed)
+    stream = list(pool) + [b for b in pool if rng.random() < 0.3]
+    random.Random(order_seed).shuffle(stream)
+    ref, lazy = _servers()
+    eager = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="columnar")
+    servers = (ref, lazy, eager)
+    cursors = [0, 0, 0]
+    for rank, batch, seq in stream:
+        wire = rng.random() < 0.3
+        with_seq = rng.random() < 0.7
+        accepted = set()
+        for server in servers:
+            if wire:
+                accepted.add(
+                    server.receive_batch_columns(
+                        rank, _columns_of(rank, batch), seq=seq if with_seq else None
+                    )
+                )
+            else:
+                accepted.add(
+                    server.receive_batch(rank, list(batch), seq=seq if with_seq else None)
+                )
+        assert len(accepted) == 1
+        eager._columns._materialize()
+        assert not eager._columns._staged
+        assert len({server.stored_summaries for server in servers}) == 1
+        if rng.random() < 0.3:
+            exports = []
+            for i, server in enumerate(servers):
+                rows, total = server.export_rows(cursors[i])
+                cursors[i] = total
+                exports.append((rows, total))
+            assert exports[0] == exports[1] == exports[2]
+        if rng.random() < 0.3:
+            stype = rng.choice(list(SensorType))
+            ref_matrix = ref.performance_matrix(stype)
+            for server in (lazy, eager):
+                assert np.array_equal(
+                    ref_matrix, server.performance_matrix(stype), equal_nan=True
+                )
+        if rng.random() < 0.2:
+            assert ref.detect_inter_process() == lazy.detect_inter_process()
+            assert ref.detect_inter_process() == eager.detect_inter_process()
+    full = [server.export_rows(0) for server in servers]
+    assert full[0] == full[1] == full[2]
+    for col in (lazy, eager):
+        _assert_equivalent(ref, col)
+        assert ref._sensor_types == col._sensor_types
+        assert ref._last_seen == col._last_seen
+
+
 @given(
     durations=st.lists(
         st.floats(min_value=-5.0, max_value=100.0, allow_nan=False), max_size=30
@@ -273,6 +354,28 @@ def test_stored_summaries_counts_deduplicated_rows():
         server.receive_batch(0, batch)  # identity duplicate, no seq
         assert server.stored_summaries == 1
         assert server.duplicate_summaries == 1
+
+
+@pytest.mark.parametrize("engine", ["reference", "columnar"])
+def test_pull_rows_is_idempotent(engine):
+    """Pulling rows another server already gave is identity-deduplicated
+    like any ingest: re-pulling from cursor 0 stores nothing new."""
+    source = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine=engine)
+    for rank in range(N_RANKS):
+        source.receive_batch(
+            rank,
+            [_summary(rank, 1, SensorType.COMPUTATION, "H", s, 10.0 + rank) for s in range(3)],
+        )
+    merged = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine=engine)
+    assert merged.pull_rows(source) == 3 * N_RANKS
+    assert merged.pull_rows(source, 0) == 3 * N_RANKS
+    assert merged.stored_summaries == 3 * N_RANKS
+    assert merged.duplicate_summaries == 3 * N_RANKS
+    assert np.array_equal(
+        merged.performance_matrix(SensorType.COMPUTATION),
+        source.performance_matrix(SensorType.COMPUTATION),
+        equal_nan=True,
+    )
 
 
 # -- byte accounting ----------------------------------------------------------

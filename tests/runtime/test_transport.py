@@ -428,3 +428,149 @@ def test_reliable_transport_recovers_with_nonzero_job_id():
     assert transport.gave_up == {}
     assert server.stored_summaries == 12
     assert channel.stats.dropped > 0, "the channel really was lossy"
+
+
+# -- retire-on-accept vs the scanning pump -----------------------------------
+
+
+def _scanning_transport_cls():
+    """A ReliableTransport whose pump retires batches the old way: after
+    the deliveries, scan every pending batch and ask the server whether it
+    acked it."""
+    from repro.runtime.transport import ReliableTransport
+
+    class ScanningTransport(ReliableTransport):
+        def pump(self, now: float) -> None:
+            self.clock = max(self.clock, now)
+            for envelope in self.channel.deliver_due(self.clock):
+                accepted = self.server.receive_batch(
+                    envelope.rank,
+                    list(envelope.payload),
+                    seq=envelope.seq,
+                    encoded_bytes=self._encoded.get(
+                        (envelope.job, envelope.rank, envelope.seq)
+                    ),
+                )
+                if not accepted:
+                    retry_at = None
+                    hint = getattr(self.server, "pop_retry_hint", None)
+                    if hint is not None:
+                        retry_at = hint(envelope.rank, envelope.seq)
+                    if retry_at is not None:
+                        pending = self._pending.get(
+                            (envelope.job, envelope.rank, envelope.seq)
+                        )
+                        if pending is not None:
+                            pending.next_retry_at = max(pending.next_retry_at, retry_at)
+                    else:
+                        self.channel.stats.late += 1
+            for key, pending in list(self._pending.items()):
+                if self.server.is_acked(pending.rank, pending.seq):
+                    del self._pending[key]
+                elif pending.next_retry_at <= self.clock:
+                    if pending.attempts >= self.policy.max_attempts:
+                        del self._pending[key]
+                        self.gave_up[pending.rank] = self.gave_up.get(pending.rank, 0) + 1
+                        self.server.mark_degraded(pending.rank)
+                        continue
+                    self.channel.stats.retried += 1
+                    pending.attempts += 1
+                    self.channel.send(
+                        pending.rank, pending.seq, pending.payload, self.clock, job=pending.job
+                    )
+                    pending.next_retry_at = self.clock + self.policy.retry_delay(
+                        pending.attempts
+                    )
+
+    return ScanningTransport
+
+
+def _recording_channel(config):
+    """A LossyChannel that logs every send (first copies and retries)."""
+    from repro.runtime.channel import LossyChannel
+
+    class RecordingChannel(LossyChannel):
+        def send(self, rank, seq, payload, now, job=0):
+            self.log.append((rank, seq, now, job))
+            super().send(rank, seq, payload, now, job=job)
+
+    channel = RecordingChannel(config=config)
+    channel.log = []
+    return channel
+
+
+def _drive_transport(transport_cls, config, policy, sharded, n_ranks=3, n_batches=8):
+    """Send every rank's batches, then drive to quiescence the way
+    run_multi_job does; return everything delivery can influence."""
+    from repro.service import AnalysisService, ShardCostModel
+
+    if sharded:
+        service = AnalysisService(
+            2, window_us=1000.0, queue_limit=1, cost=ShardCostModel(base_us=1_500.0)
+        )
+        server = service.register_job(5, n_ranks)
+    else:
+        service = None
+        server = AnalysisServer(n_ranks=n_ranks, window_us=1000.0)
+    channel = _recording_channel(config)
+    transport = transport_cls(server=server, channel=channel, policy=policy, job_id=5)
+    for i in range(n_batches):
+        for rank in range(n_ranks):
+            batch = [summary(rank, i, 10.0 + rank, sensor_id=s) for s in (1, 2, 3)]
+            now = i * 1000.0 + rank
+            transport.send_batch(rank, batch, now)
+            if service is not None:
+                service.pump(now)
+    while transport._pending or channel.pending():
+        targets = [p.next_retry_at for p in transport._pending.values()]
+        due = channel.next_due()
+        if due is not None:
+            targets.append(due)
+        t = min(targets)
+        if service is not None:
+            service.pump(t)
+        transport.pump(t)
+    if service is not None:
+        service.finish()
+    return {
+        "sends": channel.log,
+        "stats": channel.stats.as_dict(),
+        "gave_up": transport.gave_up,
+        "degraded": set(server.degraded),
+        "stored": server.stored_summaries,
+        "received": (server.batches_received, server.duplicate_batches),
+        "rejected": getattr(server, "rejected_batches", None),
+    }
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["server", "backpressure"])
+@pytest.mark.parametrize(
+    "drop, dup, reorder, max_attempts, seed",
+    [
+        (0.0, 0.0, 0.0, 16, 1),
+        (0.3, 0.0, 0.0, 16, 2),
+        (0.0, 0.5, 0.0, 16, 3),
+        (0.0, 0.0, 0.5, 16, 4),
+        (0.3, 0.3, 0.3, 16, 5),
+        (0.6, 0.2, 0.2, 3, 6),
+        (0.9, 0.1, 0.1, 2, 7),
+    ],
+)
+def test_retire_on_accept_matches_scanning_pump(drop, dup, reorder, max_attempts, seed, sharded):
+    """Retiring a batch when its delivery is accepted gives the same
+    retransmissions (and so the same channel RNG draws), statistics,
+    give-ups and degraded ranks as scanning the server's acks."""
+    from repro.runtime.channel import ChannelConfig
+    from repro.runtime.transport import ReliableTransport, RetryPolicy
+
+    config = ChannelConfig(
+        drop_rate=drop, dup_rate=dup, reorder_rate=reorder,
+        delay_us=300.0, jitter_us=500.0, reorder_delay_us=4_000.0, seed=seed,
+    )
+    policy = RetryPolicy(timeout_us=1_000.0, max_timeout_us=8_000.0, max_attempts=max_attempts)
+    new = _drive_transport(ReliableTransport, config, policy, sharded)
+    old = _drive_transport(_scanning_transport_cls(), config, policy, sharded)
+    assert new == old
+    assert new["stats"]["retried"] > 0 or not (drop or sharded)
+    if sharded:
+        assert new["rejected"] > 0, "the scenario must exercise back-pressure"

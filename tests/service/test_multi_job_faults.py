@@ -125,6 +125,12 @@ def test_lossy_tenants_each_match_their_solo_reports(span):
         combined_run = combined.jobs[job_id]
         _assert_reports_identical(solo_run.report, combined_run.report)
         assert combined_run.channel_stats == solo_run.channel_stats
+        # Rows carry their tenant from birth; the front need not restamp.
+        assert {
+            s.job_id
+            for detector in combined_run.runtime.detectors.values()
+            for s in detector.summaries
+        } == {job_id}
         # Loss actually happened and was repaired, not avoided.
         assert combined_run.channel_stats["dropped"] > 0
         assert combined_run.report.degraded_ranks == ()

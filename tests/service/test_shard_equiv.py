@@ -171,6 +171,49 @@ def test_sharded_queries_bit_identical_with_interleaved_queries(
 
 @given(
     pools=job_pools(),
+    n_shards=st.integers(1, 6),
+    order_seed=st.integers(0, 2**32 - 1),
+    dup_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_merged_trackers_match_unsharded_under_redelivery(
+    pools, n_shards, order_seed, dup_seed
+):
+    """The merger pulls shard rows as column blocks; the merged server's
+    identity-duplicate count, sensor types and staleness trackers still
+    equal an unsharded server's.  Redeliveries come both sequenced (dying
+    at the watermark) and unsequenced (dying at identity dedup on the
+    shards)."""
+    rng = random.Random(dup_seed)
+    stream = [
+        (job, rank, batch, seq)
+        for job, batches in pools.items()
+        for rank, batch, seq in batches
+    ]
+    stream += [item for item in stream if rng.random() < 0.3]
+    stream += [(job, rank, batch, None) for job, rank, batch, _ in stream if rng.random() < 0.3]
+    random.Random(order_seed).shuffle(stream)
+
+    service = AnalysisService(n_shards, window_us=2000.0)
+    ports = {job: service.register_job(job, N_RANKS) for job in pools}
+    refs = {job: AnalysisServer(n_ranks=N_RANKS, window_us=2000.0) for job in pools}
+    for job, rank, batch, seq in stream:
+        ports[job].receive_batch(rank, list(batch), seq=seq)
+        refs[job].receive_batch(rank, list(batch), seq=seq)
+    service.finish()
+    for job, ref in refs.items():
+        merged = ports[job].server
+        assert merged.duplicate_summaries == ref.duplicate_summaries
+        assert merged._sensor_types == ref._sensor_types
+        assert merged._last_seen == ref._last_seen
+        for now in (0.0, 2500.0, 5000.0, 1e9):
+            for staleness in (None, 1500.0):
+                assert merged.silent_ranks(now, staleness) == ref.silent_ranks(now, staleness)
+        assert set(merged.export_rows()[0]) == set(ref.export_rows()[0])
+
+
+@given(
+    pools=job_pools(),
     order_seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=20, deadline=None)
@@ -238,6 +281,26 @@ def test_job_isolation_identical_rows_do_not_collide():
     assert b.stored_summaries == 1
     assert a.duplicate_summaries == 0
     assert b.duplicate_summaries == 0
+
+
+def test_front_restamps_rows_of_another_tenant():
+    """A row arriving with another tenant's job_id is stored under the
+    port's; a row already carrying it passes through as it is."""
+    service = AnalysisService(2, window_us=2000.0, engine="reference")
+    port = service.register_job(3, N_RANKS)
+    stamped = make_summary(0, 1, SensorType.COMPUTATION, "", 0, 10.0, job_id=3)
+    foreign = make_summary(0, 2, SensorType.COMPUTATION, "", 0, 11.0)
+    assert port.receive_batch(0, [stamped, foreign], seq=0)
+    service.finish()
+    rows = [
+        row
+        for shard in service.shards
+        for server in shard.servers.values()
+        for row in server.export_rows()[0]
+    ]
+    assert sorted(row.sensor_id for row in rows) == [1, 2]
+    assert {row.job_id for row in rows} == {3}
+    assert any(row is stamped for row in rows)
 
 
 def test_router_is_deterministic_and_stream_sticky():
