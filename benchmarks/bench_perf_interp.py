@@ -1,10 +1,11 @@
 """Interpreter-tier performance trajectory: AST vs bytecode vs lockstep.
 
 Times uninstrumented and instrumented runs of CG / FT / LULESH at
-8 / 32 / 128 ranks under all three engine tiers and writes the measurements
-to ``BENCH_interp.json`` at the repo root — the start of a recorded
-benchmark trajectory, so hot-loop regressions show up as data rather than
-anecdotes.
+8 / 32 / 128 ranks on the AST oracle (``tests/oracles``, installed into the
+simulator for its cells) and the two production tiers, and writes the
+measurements to ``BENCH_interp.json`` at the repo root — the start of a
+recorded benchmark trajectory, so hot-loop regressions show up as data
+rather than anecdotes.
 
 The shape this pins: the bytecode tier beats the AST reference everywhere,
 and by ≥3× on the 128-rank CG configuration (the Fig. 21 bad-node scale);
@@ -25,6 +26,7 @@ from benchmarks.conftest import write_payload
 from repro.api import run_uninstrumented, run_vsensor
 from repro.sim import noise
 from repro.workloads import all_workloads
+from tests.oracles import tier
 
 PROGRAMS = ["CG", "FT", "LULESH"]
 RANK_COUNTS = [8, 32, 128]
@@ -51,16 +53,18 @@ def test_interp_tier_trajectory():
         for n_ranks in RANK_COUNTS:
             machine = workload.machine(n_ranks=n_ranks)
             for engine in ENGINES:
-                seconds = _timed(
-                    lambda: run_uninstrumented(source, machine, engine=engine)
-                )
+                with tier(engine) as concrete:
+                    seconds = _timed(
+                        lambda: run_uninstrumented(source, machine, engine=concrete)
+                    )
                 rows.append(
                     {"workload": name, "ranks": n_ranks, "mode": "uninstrumented",
                      "engine": engine, "seconds": round(seconds, 4)}
                 )
-                seconds = _timed(
-                    lambda: run_vsensor(source, machine, engine=engine)
-                )
+                with tier(engine) as concrete:
+                    seconds = _timed(
+                        lambda: run_vsensor(source, machine, engine=concrete)
+                    )
                 rows.append(
                     {"workload": name, "ranks": n_ranks, "mode": "instrumented",
                      "engine": engine, "seconds": round(seconds, 4)}

@@ -1,7 +1,8 @@
-"""Analysis-server data-path trajectory: reference vs columnar engine.
+"""Analysis-server data-path trajectory: reference vs columnar store.
 
 Feeds an identical synthetic batch stream — per-rank slice summaries at
-32 / 128 ranks — through both analysis engines, in two modes: pure ingest
+32 / 128 ranks — through the server on both stores (the reference store
+is the oracle in ``tests/oracles``), in two modes: pure ingest
 (one final matrix/detect pass) and the §5.5 online pattern of ingest
 **interleaved** with matrix + inter-process queries (what
 :class:`~repro.runtime.live.LiveReporter` does every period).  The
@@ -31,6 +32,7 @@ from benchmarks.conftest import BENCH_SEED, write_payload
 from repro.runtime.records import SliceSummary
 from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
+from tests.oracles import make_server
 
 RANK_COUNTS = [32, 128]
 ENGINES = ["reference", "columnar"]
@@ -74,7 +76,7 @@ def _batch_stream(n_ranks: int) -> list[tuple[int, list[SliceSummary], int]]:
 
 
 def _run(engine: str, n_ranks: int, stream, interleaved: bool) -> AnalysisServer:
-    server = AnalysisServer(n_ranks=n_ranks, window_us=WINDOW_US, engine=engine)
+    server = make_server(engine, n_ranks=n_ranks, window_us=WINDOW_US)
     for i, (rank, batch, seq) in enumerate(stream):
         server.receive_batch(rank, batch, seq=seq)
         if interleaved and (i + 1) % QUERY_EVERY == 0:

@@ -13,8 +13,8 @@ Python:
 * :mod:`repro.instrument` — v-sensor selection rules and Tick/Tock source
   instrumentation.
 * :mod:`repro.sim` — a deterministic discrete-event cluster simulator
-  (nodes, network, OS noise, fault injection, MPI, an AST interpreter with
-  a virtual clock and simulated PMU) standing in for Tianhe-2.
+  (nodes, network, OS noise, fault injection, MPI, a bytecode interpreter
+  with a virtual clock and simulated PMU) standing in for Tianhe-2.
 * :mod:`repro.runtime` — the online detection module: smoothing,
   normalization, history comparison, dynamic rules, analysis server.
 * :mod:`repro.workloads`, :mod:`repro.baselines`, :mod:`repro.viz` —

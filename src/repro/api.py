@@ -184,7 +184,6 @@ def run_vsensor(
     extra_hooks: Sequence = (),
     live=None,
     engine: str = "bytecode",
-    analysis_engine: str = "columnar",
     channel=None,
     retry_policy=None,
     store: ArtifactStore | None | object = _DEFAULT_STORE,
@@ -212,17 +211,11 @@ def run_vsensor(
     server ingest, and the run's :attr:`VSensorRun.channel_stats` /
     report fields expose the delivery counters.
 
-    ``analysis_engine`` selects the server's analysis data path:
-    ``"columnar"`` (default; vectorized store with incremental canonical
-    replay) or ``"reference"`` (the original object-at-a-time replay) —
-    the two are bit-identical, the reference tier exists for differential
-    testing.
-
     ``engine`` selects the simulator's interpreter tier: ``"bytecode"``
-    (default; compiled register VM), ``"ast"`` (tree-walking reference),
-    ``"lockstep"`` (SIMD-over-ranks vectorized VM — one fetch per
-    instruction applied to every rank's lane at once, with diverging ranks
-    drained onto per-rank interpreters) or ``"auto"`` (bytecode below
+    (default; compiled register VM), ``"lockstep"`` (SIMD-over-ranks
+    vectorized VM — one fetch per instruction applied to every rank's
+    lane at once, with diverging ranks drained onto per-rank
+    interpreters) or ``"auto"`` (bytecode below
     :data:`~repro.sim.AUTO_LOCKSTEP_MIN_RANKS` ranks, lockstep at or
     above — the crossover measured in ``BENCH_interp.json``, where
     lockstep is a slowdown at 8 ranks but wins from 32 up).  All tiers
@@ -272,7 +265,6 @@ def run_vsensor(
         n_ranks=machine.n_ranks,
         window_us=window_us,
         batch_period_us=batch_period_us,
-        engine=analysis_engine,
         metrics=metrics,
         obs=obs if obs.enabled else None,
     )
@@ -364,6 +356,7 @@ class JobSpec:
     retry_policy: object | None = None
     detector: DetectorConfig | None = None
     rule: DynamicRule | None = None
+    #: interpreter tier: "bytecode", "lockstep" or "auto" (see run_vsensor)
     engine: str = "bytecode"
     max_depth: int = 3
 
@@ -445,7 +438,6 @@ def run_multi_job(
     batch_period_us: float = 100_000.0,
     queue_limit: int = 64,
     cost=None,
-    analysis_engine: str = "columnar",
     vnodes: int = 64,
     store: ArtifactStore | None | object = _DEFAULT_STORE,
     obs: Obs | None = None,
@@ -486,7 +478,6 @@ def run_multi_job(
         n_shards,
         window_us=window_us,
         batch_period_us=batch_period_us,
-        engine=analysis_engine,
         queue_limit=queue_limit,
         cost=cost,
         vnodes=vnodes,
@@ -559,19 +550,14 @@ def run_multi_job(
         # Phase 3: drive retries/back-pressure to quiescence, keeping the
         # shards pumping so deferred retries always find freed capacity.
         while True:
-            targets = [
-                due
+            wakeups = [
+                t
                 for transport in transports.values()
-                if (due := transport.channel.next_due()) is not None
+                if (t := transport.next_wakeup()) is not None
             ]
-            targets.extend(
-                pending.next_retry_at
-                for transport in transports.values()
-                for pending in transport._pending.values()
-            )
-            if not targets:
+            if not wakeups:
                 break
-            t = min(targets)
+            t = min(wakeups)
             service.pump(t)
             for transport in transports.values():
                 transport.pump(t)

@@ -29,6 +29,7 @@ from repro.api import compile_and_instrument, run_vsensor
 from repro.errors import ReproError
 from repro.sensors.model import SensorType
 from repro.sim import (
+    ENGINES,
     BadNode,
     CpuContention,
     Fault,
@@ -188,7 +189,6 @@ def cmd_run(args) -> int:
         faults=faults,
         window_us=args.window_ms * 1000.0,
         engine=args.engine,
-        analysis_engine=args.analysis_engine,
         channel=args.channel,
         obs=obs,
         overhead_budget=args.overhead_budget,
@@ -291,7 +291,6 @@ def _run_sharded(args, source: str, faults, obs) -> int:
         jobs,
         n_shards=args.shards,
         window_us=args.window_ms * 1000.0,
-        analysis_engine=args.analysis_engine,
         obs=obs,
         workers=args.workers,
         **({"store": kwargs["store"]} if "store" in kwargs else {}),
@@ -495,18 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--engine",
-        choices=("bytecode", "ast", "lockstep", "auto"),
+        choices=ENGINES,
         default="bytecode",
-        help="interpreter tier: compiled register VM (default), the AST "
-        "reference, the SIMD-over-ranks lockstep VM, or 'auto' (bytecode "
-        "below 16 ranks, lockstep at or above — the measured crossover)",
-    )
-    p_run.add_argument(
-        "--analysis-engine",
-        choices=("columnar", "reference"),
-        default="columnar",
-        help="analysis-server data path: vectorized columnar store with "
-        "incremental replay (default) or the object-at-a-time reference",
+        help="interpreter tier: compiled register VM (default), the "
+        "SIMD-over-ranks lockstep VM, or 'auto' (bytecode below 16 ranks, "
+        "lockstep at or above — the measured crossover)",
     )
     p_run.add_argument(
         "--shards",
@@ -582,11 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_happend.add_argument("--seed", type=int, default=20180224)
     p_happend.add_argument("--window-ms", type=float, default=20.0)
     p_happend.add_argument("--fault", action="append", help="inject a fault")
-    p_happend.add_argument(
-        "--engine",
-        choices=("bytecode", "ast", "lockstep", "auto"),
-        default="bytecode",
-    )
+    p_happend.add_argument("--engine", choices=ENGINES, default="bytecode")
     p_happend.set_defaults(func=cmd_history_append)
 
     p_hshow = hist_sub.add_parser(

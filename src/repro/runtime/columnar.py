@@ -3,10 +3,11 @@
 The analysis server's derived state — normalized performance per slice,
 per-cell matrix means, inter-process rank comparisons — is a function of
 the *canonically ordered* summary store, not of batch arrival order.  The
-reference engine realizes that as a Python dict keyed by summary identity
-plus a full re-sort-and-replay after every ingest; interleaved
-ingest/query (the :class:`~repro.runtime.live.LiveReporter` pattern) then
-degrades quadratically in run length.
+reference store (the differential oracle in
+``tests/oracles/reference_store.py``) realizes that as a Python dict keyed
+by summary identity plus a full re-sort-and-replay after every ingest;
+interleaved ingest/query (the :class:`~repro.runtime.live.LiveReporter`
+pattern) then degrades quadratically in run length.
 
 This module is the vectorized twin: summaries live in append-only NumPy
 columns (amortized-doubling growth, interned group strings), the
@@ -210,7 +211,7 @@ class ColumnarStore:
         """Stage deduplicated object-form summaries; return the duplicates.
 
         ``sensor_types`` / ``last_seen`` are the server's trackers, updated
-        exactly as the reference ``_ingest`` does (kept rows only).  Kept
+        exactly as the reference store's ingest does (kept rows only).  Kept
         rows wait in a staging list until :meth:`_materialize`.
         """
         keys = self._keys

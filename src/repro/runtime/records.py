@@ -78,9 +78,7 @@ class SummaryColumns:
     This is what the zero-copy spool decode hands the analysis server:
     every field of :class:`SliceSummary` as one NumPy array, with group
     strings carried as per-row codes plus a ``code -> string`` table.  The
-    columnar server ingests the arrays directly; the reference engine
-    materializes :class:`SliceSummary` objects via :meth:`to_summaries`
-    (bit-identical to the historical per-record ``struct`` decode).
+    server's columnar store ingests the arrays directly.
     """
 
     rank: int
@@ -98,31 +96,3 @@ class SummaryColumns:
 
     def __len__(self) -> int:
         return len(self.sensor_id)
-
-    def to_summaries(self) -> list[SliceSummary]:
-        """Materialize per-row objects (reference-engine fallback)."""
-        groups = self.group_table
-        return [
-            SliceSummary(
-                rank=self.rank,
-                sensor_id=sensor_id,
-                sensor_type=CODE_SENSOR_TYPE[type_code],
-                group=groups.get(group_code, ""),
-                slice_index=slice_index,
-                t_slice_start=t_start,
-                mean_duration=duration,
-                count=count,
-                mean_cache_miss=miss,
-                job_id=self.job,
-            )
-            for sensor_id, type_code, group_code, slice_index, t_start, duration, count, miss in zip(
-                self.sensor_id.tolist(),
-                self.sensor_type_code.tolist(),
-                self.group_code.tolist(),
-                self.slice_index.tolist(),
-                self.t_slice_start.tolist(),
-                self.mean_duration.astype(np.float64).tolist(),
-                self.count.tolist(),
-                self.mean_cache_miss.tolist(),
-            )
-        ]

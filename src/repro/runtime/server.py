@@ -21,17 +21,14 @@ matrices and inter-process verdicts are computed by replaying the keyed
 store in canonical slice order, which makes them bit-identical under any
 permutation or redelivery of the incoming batches.
 
-Two analysis engines share those semantics:
-
-* ``engine="columnar"`` (default) keeps the store as append-only NumPy
-  columns (:mod:`repro.runtime.columnar`) with incremental canonical
-  replay and vectorized matrix / inter-process kernels;
-* ``engine="reference"`` is the original object-at-a-time dict store and
-  pure-Python full replay, kept as the differential-testing oracle.
-
-The two are bit-identical — same matrices, events, counters and byte
-accounting — under any delivery schedule; ``tests/runtime/
-test_server_columnar.py`` pins that with hypothesis.
+The store is append-only NumPy columns (:mod:`repro.runtime.columnar`)
+with incremental canonical replay and vectorized matrix / inter-process
+kernels.  Its differential oracle, an object-at-a-time dict store with a
+pure-Python full replay, lives in ``tests/oracles/reference_store.py``
+and implements the same store interface; ``tests/runtime/
+test_server_columnar.py`` pins the two bit-identical — same matrices,
+events, counters and byte accounting — under any delivery schedule with
+hypothesis.
 """
 
 from __future__ import annotations
@@ -65,17 +62,6 @@ class InterProcessEvent:
 
 
 @dataclass(slots=True)
-class _Analysis:
-    """Derived state replayed from the summary store (cached per epoch)."""
-
-    #: (type, window) -> rank -> [normalized perf per slice]
-    cells: dict[tuple[SensorType, int], dict[int, list[float]]] = field(default_factory=dict)
-    #: (sensor, window) -> rank -> mean duration of the rank's slices
-    per_sensor: dict[tuple[int, int], dict[int, float]] = field(default_factory=dict)
-    history: SensorHistory = field(default_factory=SensorHistory)
-
-
-@dataclass(slots=True)
 class AnalysisServer:
     n_ranks: int
     #: matrix time resolution (µs); the paper's Fig. 14 uses 200 ms
@@ -83,9 +69,6 @@ class AnalysisServer:
     #: batching period per rank (µs)
     batch_period_us: float = 100_000.0
     threshold: float = 0.7
-    #: analysis engine: "columnar" (vectorized store + incremental replay)
-    #: or "reference" (object-at-a-time dict store, the oracle)
-    engine: str = "columnar"
 
     bytes_received: int = 0
     batches_received: int = 0
@@ -104,27 +87,16 @@ class AnalysisServer:
     #: optional :class:`~repro.obs.Obs` bundle for per-epoch replay spans
     obs: object | None = None
 
-    #: identity-keyed summary store: (rank, sensor, group, slice) -> summary
-    #: (reference engine only; the columnar engine stores rows in _columns)
-    _store: dict[tuple[int, int, str, int], SliceSummary] = field(default_factory=dict)
+    #: identity-deduplicated summary rows plus their canonical replay
+    _store: ColumnarStore = field(init=False)
     #: per-rank sequence trackers (cumulative watermark + gap set)
     _seqs: dict[int, SequenceTracker] = field(default_factory=dict)
-    #: largest window index stored (reference engine; the columnar store
-    #: keeps its own ``max_window``)
-    _max_window: int = 0
     _sensor_types: dict[int, SensorType] = field(default_factory=dict)
     #: virtual time of the freshest slice each rank has reported
     _last_seen: dict[int, float] = field(default_factory=dict)
-    _analysis: _Analysis | None = None
-    _columns: ColumnarStore | None = None
 
     def __post_init__(self) -> None:
-        if self.engine == "columnar":
-            self._columns = ColumnarStore(self.window_us)
-        elif self.engine != "reference":
-            raise ValueError(
-                f"unknown analysis engine {self.engine!r} (expected 'columnar' or 'reference')"
-            )
+        self._store = ColumnarStore(self.window_us)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -145,26 +117,11 @@ class AnalysisServer:
         it ``None`` and are accounted at the nominal header + payload size.
         Returns True iff the batch was new.
         """
-        self.batches_received += 1
-        if encoded_bytes is None:
-            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * len(summaries)
-        self.bytes_received += encoded_bytes
-        if seq is not None and not self._advance_watermark(rank, seq):
-            self.duplicate_batches += 1
-            if self.metrics is not None:
-                self.metrics.counter("server.duplicate_batches").inc()
+        if not self._admit(rank, len(summaries), seq, encoded_bytes):
             return False
-        self.summaries_received += len(summaries)
-        if self.metrics is not None:
-            self.metrics.counter("server.batches").inc()
-            self.metrics.counter("server.summaries").inc(len(summaries))
-        if self._columns is not None:
-            self._note_duplicates(
-                self._columns.ingest_summaries(summaries, self._sensor_types, self._last_seen)
-            )
-        else:
-            for summary in summaries:
-                self._ingest(summary)
+        self._note_duplicates(
+            self._store.ingest_summaries(summaries, self._sensor_types, self._last_seen)
+        )
         return True
 
     def receive_batch_columns(
@@ -174,37 +131,35 @@ class AnalysisServer:
         seq: int | None = None,
         encoded_bytes: int | None = None,
     ) -> bool:
-        """Like :meth:`receive_batch`, for a zero-copy decoded batch.
+        """Like :meth:`receive_batch`, for a zero-copy decoded batch:
+        the store ingests the arrays directly."""
+        if not self._admit(rank, len(columns), seq, encoded_bytes):
+            return False
+        self._note_duplicates(
+            self._store.ingest_columns(columns, self._sensor_types, self._last_seen)
+        )
+        return True
 
-        The columnar engine ingests the arrays directly; the reference
-        engine materializes :class:`SliceSummary` objects first so its
-        per-summary ``_ingest`` path (and any test hook overriding it)
-        stays on the wire path.
-        """
+    def _admit(self, rank: int, n: int, seq: int | None, encoded_bytes: int | None) -> bool:
+        """Account one received batch of ``n`` rows; False if its sequence
+        number was already seen (the batch is then dropped)."""
         self.batches_received += 1
         if encoded_bytes is None:
-            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * len(columns)
+            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * n
         self.bytes_received += encoded_bytes
         if seq is not None and not self._advance_watermark(rank, seq):
             self.duplicate_batches += 1
             if self.metrics is not None:
                 self.metrics.counter("server.duplicate_batches").inc()
             return False
-        self.summaries_received += len(columns)
+        self.summaries_received += n
         if self.metrics is not None:
             self.metrics.counter("server.batches").inc()
-            self.metrics.counter("server.summaries").inc(len(columns))
-        if self._columns is not None:
-            self._note_duplicates(
-                self._columns.ingest_columns(columns, self._sensor_types, self._last_seen)
-            )
-        else:
-            for summary in columns.to_summaries():
-                self._ingest(summary)
+            self.metrics.counter("server.summaries").inc(n)
         return True
 
     def _note_duplicates(self, duplicates: int) -> None:
-        """Fold one columnar ingest's identity duplicates into the counters."""
+        """Fold one ingest's identity duplicates into the counters."""
         if duplicates:
             self.duplicate_summaries += duplicates
             if self.metrics is not None:
@@ -226,26 +181,9 @@ class AnalysisServer:
         tracker = self._seqs.get(rank)
         return tracker is not None and tracker.is_acked(seq)
 
-    def _ingest(self, summary: SliceSummary) -> None:
-        key = summary.identity
-        if key in self._store:
-            self.duplicate_summaries += 1
-            if self.metrics is not None:
-                self.metrics.counter("server.duplicate_summaries").inc()
-            return
-        self._store[key] = summary
-        self._analysis = None
-        self._max_window = max(self._max_window, int(summary.t_slice_start // self.window_us))
-        self._sensor_types[summary.sensor_id] = summary.sensor_type
-        last = self._last_seen.get(summary.rank)
-        if last is None or summary.t_slice_start > last:
-            self._last_seen[summary.rank] = summary.t_slice_start
-
     @property
     def stored_summaries(self) -> int:
-        """Deduplicated summaries currently in the store (either engine)."""
-        if self._columns is not None:
-            return len(self._columns)
+        """Deduplicated summaries currently in the store."""
         return len(self._store)
 
     def export_rows(self, start: int = 0) -> tuple[list[SliceSummary], int]:
@@ -254,33 +192,23 @@ class AnalysisServer:
         The store is append-only (deduplicated rows are never reordered or
         removed), so ``(rows, total)`` lets a caller keep a cursor and pull
         only the delta on each call."""
-        if self._columns is not None:
-            rows = self._columns.export_summaries(start)
-            return rows, len(self._columns)
-        rows = list(self._store.values())
-        return rows[start:], len(rows)
+        return self._store.export_summaries(start), len(self._store)
 
     def pull_rows(self, source: "AnalysisServer", start: int = 0) -> int:
         """Ingest ``source``'s stored rows from insertion position ``start``.
 
         Rows enter in ``source``'s insertion order with the usual identity
         dedup and tracker updates; transport counters do not move.  Returns
-        the cursor for the next pull (``source``'s stored row count).  Both
-        servers run the same engine: the columnar one copies column blocks
-        (:meth:`ColumnarStore.ingest_store`), the reference one iterates
-        the source's store.  This is the shard → query-merger gather path
-        of the sharded analysis service.
+        the cursor for the next pull (``source``'s stored row count).  The
+        delta is copied as column blocks (:meth:`ColumnarStore.ingest_store`).
+        This is the shard → query-merger gather path of the sharded
+        analysis service.
         """
-        if self._columns is not None:
-            duplicates, total = self._columns.ingest_store(
-                source._columns, start, self._sensor_types, self._last_seen
-            )
-            self._note_duplicates(duplicates)
-            return total
-        rows = list(source._store.values())
-        for summary in rows[start:]:
-            self._ingest(summary)
-        return len(rows)
+        duplicates, total = self._store.ingest_store(
+            source._store, start, self._sensor_types, self._last_seen
+        )
+        self._note_duplicates(duplicates)
+        return total
 
     # -- degradation / coverage --------------------------------------------
 
@@ -301,47 +229,14 @@ class AnalysisServer:
 
     # -- canonical replay ---------------------------------------------------
 
-    def _replay(self) -> _Analysis:
-        """Build derived state by replaying the store in canonical order.
-
-        The store is keyed, so the replay order is a function of the data
-        only — identical matrices for any batch arrival order.  Canonical
-        order is slice-major (virtual time), matching how a loss-free
-        in-order run would have fed the online history.
-        """
-        if self._analysis is not None:
-            return self._analysis
-        analysis = _Analysis()
-        history = analysis.history
-        totals: dict[tuple[int, int], dict[int, list[float]]] = {}
-        # Slice-major (virtual-time) order, then rank/sensor/group as the
-        # deterministic tiebreak.
-        for key in sorted(self._store, key=lambda k: (k[3], k[0], k[1], k[2])):
-            summary = self._store[key]
-            window = int(summary.t_slice_start // self.window_us)
-            perf = history.observe(summary.sensor_id, summary.group, summary.mean_duration)
-            analysis.cells.setdefault((summary.sensor_type, window), {}).setdefault(
-                summary.rank, []
-            ).append(perf)
-            totals.setdefault((summary.sensor_id, window), {}).setdefault(
-                summary.rank, []
-            ).append(summary.mean_duration)
-        for sensor_window, per_rank in totals.items():
-            analysis.per_sensor[sensor_window] = {
-                rank: float(np.mean(values)) for rank, values in per_rank.items()
-            }
-        self._analysis = analysis
-        return analysis
-
-    def _replay_columnar(self) -> ColumnarStore:
-        """Bring the columnar store's canonical order up to date.
+    def _replay(self) -> ColumnarStore:
+        """Bring the store's canonical order up to date.
 
         Emits a ``server.replay`` span (kind + rows attrs) and bumps the
         ``server.replay.{full,incremental}`` counter — only when the store
         actually had pending rows, so pure queries stay silent.
         """
-        store = self._columns
-        assert store is not None
+        store = self._store
         if not store.pending():
             return store
         if self.obs is not None:
@@ -358,31 +253,14 @@ class AnalysisServer:
     @property
     def history(self) -> SensorHistory:
         """Cross-rank standard times, as replayed from the current store."""
-        if self._columns is not None:
-            self._replay_columnar()
-            return SensorHistory.from_standards(self._columns.history_standards())
-        return self._replay().history
+        return SensorHistory.from_standards(self._replay().history_standards())
 
     # -- inter-process analysis (§5.4) --------------------------------------
 
     def detect_inter_process(self, min_ranks: int = 2) -> list[InterProcessEvent]:
         """Compare the same v-sensor across ranks within each window."""
         self.inter_events = []
-        if self._columns is not None:
-            store = self._replay_columnar()
-            blocks = store.inter_blocks()
-        else:
-            analysis = self._replay()
-            blocks = (
-                (
-                    sensor_id,
-                    window,
-                    np.array(sorted(per_rank)),
-                    np.array([per_rank[rank] for rank in sorted(per_rank)]),
-                )
-                for (sensor_id, window), per_rank in sorted(analysis.per_sensor.items())
-            )
-        for sensor_id, window, ranks, durations in blocks:
+        for sensor_id, window, ranks, durations in self._replay().inter_blocks():
             if len(ranks) < min_ranks:
                 continue
             best = durations.min()
@@ -417,19 +295,8 @@ class AnalysisServer:
         Degraded ranks simply keep their NaN cells — partial telemetry
         must never crash matrix rendering.
         """
-        if self._columns is not None:
-            store = self._replay_columnar()
-            return store.matrix(
-                SENSOR_TYPE_CODE[sensor_type], self.n_ranks, store.max_window + 1
-            )
-        analysis = self._replay()
-        matrix = np.full((self.n_ranks, self._max_window + 1), np.nan)
-        for (stype, window), ranks in analysis.cells.items():
-            if stype is not sensor_type:
-                continue
-            for rank, values in ranks.items():
-                matrix[rank, window] = float(np.mean(values))
-        return matrix
+        store = self._replay()
+        return store.matrix(SENSOR_TYPE_CODE[sensor_type], self.n_ranks, store.max_window + 1)
 
     def mean_rank_performance(self, sensor_type: SensorType) -> np.ndarray:
         """Per-rank mean normalized performance (persistent-fault signal).

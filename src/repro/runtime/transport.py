@@ -475,16 +475,19 @@ class ReliableTransport:
     def unacked(self) -> int:
         return len(self._pending)
 
+    def next_wakeup(self) -> float | None:
+        """Earliest virtual time at which :meth:`pump` has work: the next
+        envelope arrival or the next retransmission, ``None`` when idle."""
+        due = self.channel.next_due()
+        if not self._pending:
+            return due
+        retry = min(pending.next_retry_at for pending in self._pending.values())
+        return retry if due is None or retry < due else due
+
     def finish(self) -> AnalysisServer:
         """Drive virtual time forward until every batch is acked or abandoned."""
-        while self._pending or self.channel.pending():
-            targets = [p.next_retry_at for p in self._pending.values()]
-            due = self.channel.next_due()
-            if due is not None:
-                targets.append(due)
-            if not targets:
-                break
-            self.pump(max(self.clock, min(targets)))
+        while (wakeup := self.next_wakeup()) is not None:
+            self.pump(max(self.clock, wakeup))
         return self.server
 
     # -- server duck-typing for live reporting -----------------------------

@@ -58,7 +58,6 @@ class AnalysisService:
         window_us: float = 200_000.0,
         batch_period_us: float = 100_000.0,
         threshold: float = 0.7,
-        engine: str = "columnar",
         queue_limit: int = 64,
         cost: ShardCostModel | None = None,
         vnodes: int = 64,
@@ -71,7 +70,6 @@ class AnalysisService:
         self.window_us = window_us
         self.batch_period_us = batch_period_us
         self.threshold = threshold
-        self.engine = engine
         self.rate_limit_rows_per_ms = rate_limit_rows_per_ms
         #: default burst: 4x the per-ms rate, never below one batch row
         self.rate_burst_rows = (
@@ -111,7 +109,6 @@ class AnalysisService:
             window_us=self.window_us,
             batch_period_us=self.batch_period_us,
             threshold=self.threshold,
-            engine=self.engine,
         )
 
     def register_job(self, job_id: int, n_ranks: int) -> "TenantPort":

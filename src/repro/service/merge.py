@@ -12,14 +12,13 @@ insertion positions are stable cursors, and each refresh pulls only the
 rows appended since the last one into a per-job merged
 :class:`~repro.runtime.server.AnalysisServer` — one
 :meth:`~repro.runtime.server.AnalysisServer.pull_rows` call per shard,
-which on the columnar engine copies the delta as column blocks straight
-from the shard store's columns.  Ingest there is order-invariant and
-identity-deduplicated, and shard routing keys ``(job, rank, sensor)``
-are a function of the identity — so the merged store holds exactly the
-job's deduplicated rows and every query is bit-identical to an unsharded
-server by construction.  The differential suite in
-``tests/service/test_shard_equiv.py`` pins that equivalence under random
-shard counts, interleavings and redelivery.
+which copies the delta as column blocks straight from the shard store's
+columns.  Ingest there is order-invariant and identity-deduplicated, and
+shard routing keys ``(job, rank, sensor)`` are a function of the
+identity — so the merged store holds exactly the job's deduplicated rows
+and every query is bit-identical to an unsharded server by construction.
+The differential suite in ``tests/service/test_shard_equiv.py`` pins that
+equivalence under random shard counts, interleavings and redelivery.
 """
 
 from __future__ import annotations
@@ -40,21 +39,24 @@ class QueryMerger:
             window_us=service.window_us,
             batch_period_us=service.batch_period_us,
             threshold=service.threshold,
-            engine=service.engine,
         )
 
     def refresh(self) -> AnalysisServer:
         """Pull row deltas from every shard; return the merged server.
 
-        After the gather, the merged server's transport-facing counters
-        are overwritten with the front's authoritative per-job accounting
-        (the merge hop is internal plumbing, not received traffic) and
-        its degraded set mirrors the port's.
+        A refresh that pulls rows records one ``service.merge.refresh``
+        span covering the pulls.  After the gather, the merged server's
+        transport-facing counters are overwritten with the front's
+        authoritative per-job accounting (the merge hop is internal
+        plumbing, not received traffic) and its degraded set mirrors the
+        port's.
         """
         port = self.port
         service = port.service
         job = port.job_id
         merged = self.merged
+        tracer = service.obs.tracer if service.obs is not None else None
+        t_enter = tracer.clock() if tracer is not None else 0.0
         pulled = 0
         duplicate_summaries = 0
         for shard in service.shards:
@@ -73,10 +75,17 @@ class QueryMerger:
         merged.duplicate_batches = port.duplicate_batches
         merged.duplicate_summaries = duplicate_summaries
         if pulled:
-            if service.obs is not None:
-                with service.obs.tracer.span("service.merge.refresh") as span:
-                    span.set("job", job)
-                    span.set("rows", pulled)
+            if tracer is not None:
+                # Timed from before the pulls; a refresh that pulled no
+                # rows leaves no span.
+                tracer.emit(
+                    "service.merge.refresh",
+                    t_enter,
+                    tracer.clock(),
+                    track="real",
+                    job=job,
+                    rows=pulled,
+                )
             if service.metrics is not None:
                 service.metrics.counter("service.merge.rows").inc(pulled)
         return merged

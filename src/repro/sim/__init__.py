@@ -4,9 +4,9 @@ The paper evaluates on real hardware; this package provides the synthetic
 equivalent the detection algorithms need: a cluster of nodes with
 configurable CPU/memory performance, OS background noise, a shared network
 with congestion episodes, fault injection (bad node, slow memory, CPU
-contention, network degradation), MPI rendezvous semantics, and an AST
-interpreter that executes each simulated rank against a virtual clock with
-a simulated PMU.
+contention, network degradation), MPI rendezvous semantics, and a
+bytecode VM (plus its SIMD-over-ranks lockstep twin) that executes each
+simulated rank against a virtual clock with a simulated PMU.
 
 Entry point: :class:`~repro.sim.engine.Simulator` —
 ``Simulator(program, machine).run(hooks)``.
@@ -14,6 +14,7 @@ Entry point: :class:`~repro.sim.engine.Simulator` —
 
 from repro.sim.engine import (
     AUTO_LOCKSTEP_MIN_RANKS,
+    ENGINES,
     RankResult,
     SimResult,
     Simulator,
@@ -42,6 +43,7 @@ __all__ = [
     "NoiseConfig",
     "NullHooks",
     "AUTO_LOCKSTEP_MIN_RANKS",
+    "ENGINES",
     "RankResult",
     "RuntimeHooks",
     "SimResult",

@@ -1,9 +1,10 @@
 """Bytecode compilation tier for the mini language (the fast interpreter).
 
-The AST interpreter (:mod:`repro.sim.interp`) walks the tree once per node
-per execution; at 256+ simulated ranks that tree walk dominates every
-benchmark.  This package lowers each function **once per program** into a
-compact register-based instruction stream:
+A tree-walking interpreter (the differential oracle in
+``tests/oracles/ast_interp.py``) visits every node on every execution; at
+256+ simulated ranks that walk would dominate every benchmark.  This
+package lowers each function **once per program** into a compact
+register-based instruction stream:
 
 * locals and globals are resolved to integer slots at compile time;
 * the work-unit costs of every straight-line span are constant-folded into
@@ -15,10 +16,9 @@ compact register-based instruction stream:
   in the hot loop.
 
 The read-only :class:`ProgramCode` is shared by all N rank VMs; per-rank
-setup is allocation-only.  The VM speaks the exact generator protocol of
-the AST tier (yield :class:`~repro.sim.interp.MpiRequest`, receive the
-completion time), so the rendezvous engine and every runtime hook are
-unchanged, and the two tiers produce bit-identical results.
+setup is allocation-only.  The VM speaks the rendezvous engine's
+generator protocol (yield :class:`~repro.sim.interp.MpiRequest`, receive
+the completion time) and is bit-identical to the AST oracle.
 """
 
 from repro.sim.bytecode.compiler import FuncCode, ProgramCode, compile_module

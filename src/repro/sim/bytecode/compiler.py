@@ -13,7 +13,7 @@ Lowering decisions:
   the per-rank globals list.  A name that is both a global and declared
   local somewhere in the function is *mixed*: its slot starts as the
   ``UNDEF`` sentinel and ``LOADX``/``STOREX`` fall back to the global
-  while the slot is undefined — reproducing the AST tier's
+  while the slot is undefined — reproducing the AST oracle's
   frame-then-globals lookup without a dict.
 * **Definite assignment.**  A conservative forward walk decides which
   local reads can skip the ``CHKDEF`` undefined-variable check (params
@@ -341,7 +341,7 @@ class _FuncCompiler:
                     self.flush_charges()
                 self.emit(ops.EXTCALL, out, (name, model), args, name=name)
                 return out
-            # The AST tier resolves the funcptr before evaluating arguments.
+            # The AST oracle resolves the funcptr before evaluating arguments.
             fp = self.tmp()
             self.emit(ops.RESFP, fp, (slot, gidx), name=name)
             args = tuple(self.compile_expr(a) for a in expr.args)
@@ -465,7 +465,7 @@ class _FuncCompiler:
             elif stmt.init is not None:
                 self.compile_expr(stmt.init, dst=slot)
             else:
-                # The AST tier defaults scalars to int 0 regardless of type.
+                # The AST oracle defaults scalars to int 0 regardless of type.
                 self.emit(ops.MOVE, slot, self.const(0), name=stmt.name)
             self.add_cost(COST_STORE)
             self.defined.add(stmt.name)
@@ -585,7 +585,7 @@ class _FuncCompiler:
             self.add_cost(COST_STORE)
             self.emit(ops.STOREG, self.global_index[name], value, name=name)
             return
-        # Array element: the AST tier evaluates the value, charges the store,
+        # Array element: the AST oracle evaluates the value, charges the store,
         # then evaluates the index and resolves the array — keep that order.
         value = self.compile_expr(stmt.value)
         self.add_cost(COST_STORE)

@@ -16,7 +16,7 @@ runs off an explicit :class:`ScalarState`, which is how drained lockstep
 lanes resume on a real :class:`~repro.sim.bytecode.vm.BytecodeInterp`
 from an arbitrary program point.
 
-Handler bodies must mirror the AST tier exactly; see the bit-identity
+Handler bodies must mirror the AST oracle exactly; see the bit-identity
 recipe in DESIGN.md §9.
 """
 

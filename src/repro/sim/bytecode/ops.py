@@ -11,7 +11,7 @@ benefit of the VM's dispatch ladder.
 from __future__ import annotations
 
 # Arithmetic / comparison (a=dst, b=lhs, c=rhs).  The comparison and logic
-# forms produce int 1/0 like the AST tier; ANDL/ORL are non-short-circuit
+# forms produce int 1/0 like the AST oracle; ANDL/ORL are non-short-circuit
 # (both operands are already evaluated), exactly like `_binop`.
 ADD = 0
 SUB = 1
@@ -76,7 +76,7 @@ SRANDOP = 51  # a=dst (unused: srand lowers to nothing, kept for numbering)
 CLOCKOP = 52  # a=dst
 HOSTOP = 53   # a=dst
 EXTCALL = 54  # a=dst, b=(name, ExternModel | None), c=arg regs tuple
-# Resolve a funcptr variable before argument evaluation (the AST tier reads
+# Resolve a funcptr variable before argument evaluation (the AST oracle reads
 # the variable first, so an argument expression reassigning it must not
 # change the call target): a=dst temp, b=(slot | -1, global index | -1).
 # The dst receives the resolved function index, or -1 on miss.

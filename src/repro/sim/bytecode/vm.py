@@ -4,8 +4,9 @@ One :class:`BytecodeInterp` per rank, all sharing one read-only
 :class:`~repro.sim.bytecode.compiler.ProgramCode`.  The VM subclasses
 :class:`~repro.sim.interp.RankInterp` so the clock, PMU, RNG, probe and IO
 machinery — everything observable — is literally the same object code as
-the AST tier; only statement/expression execution is replaced by the
-dispatch core generated from :data:`repro.sim.bytecode.dispatch.OP_TABLE`.
+the AST reference interpreter the differential suites compare against
+(``tests/oracles/ast_interp.py``); only statement/expression execution is
+the dispatch core generated from :data:`repro.sim.bytecode.dispatch.OP_TABLE`.
 
 The core keeps the hot half-unit work counters (``pend_h`` / ``tot_h``) in
 Python locals and mirrors them into the inherited ``_pending_half`` /
@@ -14,7 +15,7 @@ Python locals and mirrors them into the inherited ``_pending_half`` /
 the ``_pending_frac`` / ``_total_frac`` attributes — they are rare and
 must be applied in program order.
 
-The generator protocol is the AST tier's: MPI rendezvous yields an
+The generator protocol is :class:`RankInterp`'s: MPI rendezvous yields an
 :class:`~repro.sim.interp.MpiRequest` and receives the completion time.
 Because the core runs off an explicit :class:`ScalarState`, execution can
 also *start mid-program*: the lockstep tier drains diverged lanes by
@@ -31,7 +32,7 @@ __all__ = ["BytecodeInterp", "ScalarState", "UNDEF", "_Undef"]
 
 
 class BytecodeInterp(RankInterp):
-    """Bytecode-executing drop-in for :class:`RankInterp`."""
+    """Bytecode-executing rank interpreter over :class:`RankInterp` state."""
 
     def __init__(self, program, module, rank, n_ranks, machine, faults, hooks,
                  sensors=None, entry="main", externs=None, probe_control=None):
@@ -98,7 +99,7 @@ class BytecodeInterp(RankInterp):
     def _extern(self, meta, args, pend_h, tot_h):
         """Run an extern-model call; returns the updated half counters.
 
-        Mirrors the extern branch of :meth:`RankInterp._intrinsic` exactly.
+        Mirrors the extern branch of the AST oracle's ``_intrinsic`` exactly.
         """
         name, model = meta
         if model is None:

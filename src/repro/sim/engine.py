@@ -23,13 +23,13 @@ resolution *order* — which differs from the old scanning engine — cannot
 change any rank's clock, the match count, or any hook payload.
 
 The interpreter tier is selectable: ``engine="bytecode"`` (default) runs
-the compiled register VM (:mod:`repro.sim.bytecode`); ``engine="ast"``
-runs the tree-walking reference interpreter; ``engine="lockstep"`` runs
-the SIMD-over-ranks vectorized VM (:mod:`repro.sim.lockstep`), which
+the compiled register VM (:mod:`repro.sim.bytecode`); ``engine="lockstep"``
+runs the SIMD-over-ranks vectorized VM (:mod:`repro.sim.lockstep`), which
 fetches each instruction once for the whole fused rank batch and drains
-diverging ranks onto per-rank bytecode interpreters.  All tiers produce
-bit-identical results; the AST tier is kept as the executable
-specification.
+diverging ranks onto per-rank bytecode interpreters.  Both tiers produce
+bit-identical results.  Their executable specification, the tree-walking
+AST interpreter, lives in ``tests/oracles/ast_interp.py``; the
+differential suites install it in place of :meth:`Simulator._build_interps`.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ from repro.instrument.rewrite import SensorInfo
 from repro.obs import NULL_OBS, Obs
 from repro.sim.faults import Fault, check_fault_nodes
 from repro.sim.hooks import NullHooks, RuntimeHooks
-from repro.sim.interp import MpiRequest, RankInterp
+from repro.sim.interp import MpiRequest
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkModel
 
-_P2P_OPS = ("send", "recv", "sendrecv")
+#: interpreter tiers a :class:`Simulator` accepts
+ENGINES = ("bytecode", "lockstep", "auto")
 
 #: rank count at and above which ``engine="auto"`` picks the lockstep
 #: tier.  BENCH_interp.json: at 8 ranks lockstep is a net slowdown over
@@ -110,10 +111,8 @@ class Simulator:
         obs: Obs | None = None,
         probe_control=None,
     ) -> None:
-        if engine not in ("bytecode", "ast", "lockstep", "auto"):
-            raise ValueError(
-                f"unknown engine {engine!r} (bytecode|ast|lockstep|auto)"
-            )
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r} ({'|'.join(ENGINES)})")
         engine = resolve_engine(engine, machine.n_ranks)
         self.module = module
         #: optional governor :class:`~repro.runtime.governor.SensorControlTable`
@@ -147,37 +146,14 @@ class Simulator:
         return self._program_code
 
     def _build_interps(self, hooks: RuntimeHooks) -> list:
+        from repro.sim.bytecode import BytecodeInterp
+
         n = self.machine.n_ranks
         self._lockstep_runner = None
-        if self.engine in ("bytecode", "lockstep"):
-            from repro.sim.bytecode import BytecodeInterp
-
-            program = self._compiled_program()
-            interps = [
-                BytecodeInterp(
-                    program=program,
-                    module=self.module,
-                    rank=rank,
-                    n_ranks=n,
-                    machine=self.machine,
-                    faults=self.faults,
-                    hooks=hooks,
-                    sensors=self.sensors,
-                    entry=self.entry,
-                    externs=self.externs,
-                    probe_control=self.probe_control,
-                )
-                for rank in range(n)
-            ]
-            if self.engine == "bytecode":
-                return interps
-            from repro.sim.lockstep import LockstepRunner
-
-            self._lockstep_runner = LockstepRunner(interps, hooks, self.obs)
-            return self._lockstep_runner.lanes()
-        shared_memo: dict[int, bool] = {}
-        return [
-            RankInterp(
+        program = self._compiled_program()
+        interps = [
+            BytecodeInterp(
+                program=program,
                 module=self.module,
                 rank=rank,
                 n_ranks=n,
@@ -186,12 +162,17 @@ class Simulator:
                 hooks=hooks,
                 sensors=self.sensors,
                 entry=self.entry,
-                shared_has_call=shared_memo,
                 externs=self.externs,
                 probe_control=self.probe_control,
             )
             for rank in range(n)
         ]
+        if self.engine == "bytecode":
+            return interps
+        from repro.sim.lockstep import LockstepRunner
+
+        self._lockstep_runner = LockstepRunner(interps, hooks, self.obs)
+        return self._lockstep_runner.lanes()
 
     # -- main loop ----------------------------------------------------------
 

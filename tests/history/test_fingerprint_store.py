@@ -93,7 +93,7 @@ def test_run_fingerprint_separates_configurations():
     base = run_fingerprint("src", machine, DetectorConfig(), engine="bytecode")
     assert base == run_fingerprint("src", machine, DetectorConfig(), engine="bytecode")
     assert base != run_fingerprint("src2", machine, DetectorConfig(), engine="bytecode")
-    assert base != run_fingerprint("src", machine, DetectorConfig(), engine="ast")
+    assert base != run_fingerprint("src", machine, DetectorConfig(), engine="lockstep")
     assert base != run_fingerprint(
         "src", MachineConfig(n_ranks=8, ranks_per_node=2), DetectorConfig(),
         engine="bytecode",

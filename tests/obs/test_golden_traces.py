@@ -88,10 +88,6 @@ def _scenario_simple_bytecode():
     return dict(source=SIMPLE_SOURCE, machine=_machine(), engine="bytecode")
 
 
-def _scenario_simple_ast():
-    return dict(source=SIMPLE_SOURCE, machine=_machine(), engine="ast")
-
-
 def _scenario_lossy_channel():
     return dict(
         source=SIMPLE_SOURCE,
@@ -176,7 +172,6 @@ SCENARIOS = {
     "governor": _scenario_governor,
     "lockstep": _scenario_lockstep,
     "simple_bytecode": _scenario_simple_bytecode,
-    "simple_ast": _scenario_simple_ast,
     "lossy_channel": _scenario_lossy_channel,
     "fwq_micro": _scenario_fwq_micro,
     "live_interleaved": _scenario_live_interleaved,

@@ -23,6 +23,7 @@ from repro.obs import Obs, TraceError, Tracer
 from repro.pipeline import ArtifactStore
 from repro.sim import MachineConfig
 from repro.sim.noise import NoiseConfig
+from tests.oracles import tier
 
 SOURCE = """
 global int NITER = 6;
@@ -139,14 +140,16 @@ def test_orphan_exit_always_raises(script):
 
 
 def _run(obs, engine, channel, store):
-    return run_vsensor(
-        SOURCE,
-        quiet_machine(),
-        engine=engine,
-        channel=channel,
-        store=store,
-        obs=obs,
-    )
+    """One run on interpreter tier ``engine`` ("ast" is the oracle)."""
+    with tier(engine) as concrete:
+        return run_vsensor(
+            SOURCE,
+            quiet_machine(),
+            engine=concrete,
+            channel=channel,
+            store=store,
+            obs=obs,
+        )
 
 
 def _assert_identical(run_a, run_b):

@@ -1,20 +1,27 @@
-"""Differential testing: the interpreter vs a Python ground-truth evaluator.
+"""Differential testing: every interpreter tier vs a Python ground truth.
 
-Hypothesis generates random integer straight-line programs; both the
-simulator's interpreter and a direct Python evaluation compute the final
-value of every variable, and they must agree exactly.
+Hypothesis generates random integer programs and Python evaluates them
+directly.  The AST oracle's final globals must equal the Python values
+exactly.  The bytecode and lockstep tiers keep their globals inside the
+VM, so each program also checks itself: it ends with one
+``fwrite(var == expected)`` per checked variable, and every tier — run
+through :class:`~repro.sim.Simulator`, the oracle included — must report
+an IO of size 1 for each, on every rank.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend.parser import parse_source
-from repro.sim.hooks import NullHooks
-from repro.sim.interp import RankInterp
+from repro.sim import Simulator
+from repro.sim.hooks import NullHooks, RuntimeHooks
 from repro.sim.machine import MachineConfig
 from repro.sim.noise import NoiseConfig
+from tests.oracles import AstInterp, tier
+
+TIERS = ("ast", "bytecode", "lockstep")
+N_RANKS = 2
 
 VARS = ["a", "b", "c", "d"]
 
@@ -56,23 +63,56 @@ def straight_line_program(draw):
     return src, env
 
 
-def run_program(src):
-    machine = MachineConfig(
-        n_ranks=1,
-        ranks_per_node=1,
+def _machine(n_ranks: int = 1) -> MachineConfig:
+    return MachineConfig(
+        n_ranks=n_ranks,
+        ranks_per_node=n_ranks,
         noise=NoiseConfig(jitter_sigma=0.0, interrupt_period_us=0.0, spike_rate_per_ms=0.0),
     )
-    interp = RankInterp(
+
+
+def run_program(src):
+    """Run one rank on the AST oracle; return its final globals."""
+    interp = AstInterp(
         module=parse_source(src),
         rank=0,
         n_ranks=1,
-        machine=machine,
+        machine=_machine(),
         faults=(),
         hooks=NullHooks(),
     )
     for _ in interp.run():
         raise AssertionError("straight-line program blocked on MPI")
     return interp.globals
+
+
+class _Verdicts(RuntimeHooks):
+    """Collects each rank's ``fwrite`` sizes in program order."""
+
+    def __init__(self) -> None:
+        self.sizes: dict[int, list[float]] = {}
+
+    def on_io(self, rank, op, t_begin, t_end, size) -> None:
+        self.sizes.setdefault(rank, []).append(size)
+
+
+def _literal(value: int) -> str:
+    return f"({value})" if value < 0 else str(value)
+
+
+def assert_tiers_compute(src: str, expected: dict[str, int]) -> None:
+    """Append a self-check of ``expected`` to ``main`` and run ``src`` on
+    every tier: each check must come back true on every rank."""
+    checks = " ".join(f"fwrite({var} == {_literal(value)});" for var, value in expected.items())
+    head, tail = src.rsplit("return 0;", 1)
+    checked = f"{head}{checks}\n    return 0;{tail}"
+    module = parse_source(checked)
+    for name in TIERS:
+        verdicts = _Verdicts()
+        with tier(name) as engine:
+            Simulator(module, _machine(N_RANKS), engine=engine).run(verdicts)
+        want = {rank: [1.0] * len(expected) for rank in range(N_RANKS)}
+        assert verdicts.sizes == want, f"{name}: {verdicts.sizes} != {want}\n{checked}"
 
 
 @given(program=straight_line_program())
@@ -82,6 +122,7 @@ def test_interpreter_matches_python_ground_truth(program):
     final = run_program(src)
     for var, value in expected.items():
         assert final[var] == value, f"{var}: interpreter={final[var]} python={value}\n{src}"
+    assert_tiers_compute(src, expected)
 
 
 @given(
@@ -104,6 +145,7 @@ def test_loop_accumulation_matches(values):
     """
     final = run_program(src)
     assert final["total"] == sum(values)
+    assert_tiers_compute(src, {"total": sum(values)})
 
 
 @given(n=st.integers(min_value=0, max_value=30), m=st.integers(min_value=0, max_value=10))
@@ -120,3 +162,4 @@ def test_nested_loop_trip_product(n, m):
     }}
     """
     assert run_program(src)["count"] == n * m
+    assert_tiers_compute(src, {"count": n * m})

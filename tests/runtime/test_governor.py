@@ -41,6 +41,7 @@ from repro.runtime.governor import (
 from repro.sensors.model import SensorType
 from repro.sim import MachineConfig
 from repro.sim.hooks import RawRecorder
+from tests.oracles import tier
 
 SOURCE = """
 global int NITER = 8;
@@ -486,9 +487,9 @@ def test_default_run_installs_no_governor(machine):
 
 
 def test_adaptive_policy_across_engines(machine):
-    """All three interpreter tiers honor the control table.
+    """Both production tiers and the AST oracle honor the control table.
 
-    The two scalar tiers must agree bit-for-bit.  The lockstep tier
+    The two scalar interpreters must agree bit-for-bit.  The lockstep tier
     buffers hook events per lane and flushes them at engine poll points,
     so governor *feedback* lags execution by one fused segment — its
     record stream may keep a demoted sensor one extra execution.  The
@@ -496,22 +497,23 @@ def test_adaptive_policy_across_engines(machine):
     the accounting invariant holds regardless of delivery timing.
     """
     runs = {}
-    for engine in ("bytecode", "ast", "lockstep"):
+    for name in ("bytecode", "ast", "lockstep"):
         raw = RawRecorder()
-        run = run_vsensor(
-            SOURCE,
-            machine,
-            engine=engine,
-            governor=GovernorConfig(
-                overhead_budget=0.002, eval_period_us=200.0, demote_patience=1
-            ),
-            extra_hooks=(raw,),
-        )
+        with tier(name) as engine:
+            run = run_vsensor(
+                SOURCE,
+                machine,
+                engine=engine,
+                governor=GovernorConfig(
+                    overhead_budget=0.002, eval_period_us=200.0, demote_patience=1
+                ),
+                extra_hooks=(raw,),
+            )
         gov = run.runtime.governor
         assert gov is not None and gov.engine_active
         assert gov.totals()["demote"] > 0
         assert_accounting(gov.table)
-        runs[engine] = (run, _record_stream(raw), gov.totals())
+        runs[name] = (run, _record_stream(raw), gov.totals())
     assert runs["bytecode"][1] == runs["ast"][1]
     assert runs["bytecode"][0].report.total_time_us == runs["ast"][0].report.total_time_us
     assert runs["bytecode"][2] == runs["ast"][2]

@@ -6,6 +6,7 @@ import pytest
 from repro.runtime.records import SliceSummary
 from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
+from tests.oracles import make_server
 
 
 def summary(rank, slice_index, duration, sensor_id=1, stype=SensorType.COMPUTATION, group=""):
@@ -90,7 +91,7 @@ def test_mean_rank_performance():
 
 @pytest.mark.parametrize("engine", ["columnar", "reference"])
 def test_mean_rank_performance_matches_nanmean_and_is_nan_when_uncovered(engine):
-    server = AnalysisServer(n_ranks=3, window_us=1000.0, engine=engine)
+    server = make_server(engine, n_ranks=3, window_us=1000.0)
     server.receive_batch(0, [summary(0, s, 10.0 + 0.3 * s) for s in range(7)])
     server.receive_batch(1, [summary(1, s, 13.7) for s in (0, 2, 5)])
     means = server.mean_rank_performance(SensorType.COMPUTATION)  # warning-free

@@ -1,7 +1,8 @@
-"""Differential suite: columnar vs reference analysis engines.
+"""Differential suite: the columnar store vs the reference store oracle.
 
 The columnar data path (:mod:`repro.runtime.columnar`) must be
-**bit-identical** to the reference object-at-a-time replay — matrices,
+**bit-identical** to the object-at-a-time replay of
+``tests/oracles/reference_store.py`` — matrices,
 inter-process events, history standards, and every counter — under any
 ingest order, redelivery, degraded ranks, and interleaved live queries
 (the interleaving is what forces the incremental-replay epochs).  These
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.runtime.history import SensorHistory, observe_block
 from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
 from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
+from tests.oracles import make_server, reference_store
 
 N_RANKS = 4
 
@@ -71,8 +74,8 @@ def batch_pools(draw):
 
 def _servers() -> tuple[AnalysisServer, AnalysisServer]:
     return (
-        AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="reference"),
-        AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="columnar"),
+        make_server("reference", n_ranks=N_RANKS, window_us=2000.0),
+        make_server("columnar", n_ranks=N_RANKS, window_us=2000.0),
     )
 
 
@@ -225,7 +228,7 @@ def test_staged_ingest_matches_reference_and_eager_store(pool, order_seed, op_se
     stream = list(pool) + [b for b in pool if rng.random() < 0.3]
     random.Random(order_seed).shuffle(stream)
     ref, lazy = _servers()
-    eager = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="columnar")
+    eager = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0)
     servers = (ref, lazy, eager)
     cursors = [0, 0, 0]
     for rank, batch, seq in stream:
@@ -244,8 +247,8 @@ def test_staged_ingest_matches_reference_and_eager_store(pool, order_seed, op_se
                     server.receive_batch(rank, list(batch), seq=seq if with_seq else None)
                 )
         assert len(accepted) == 1
-        eager._columns._materialize()
-        assert not eager._columns._staged
+        eager._store._materialize()
+        assert not eager._store._staged
         assert len({server.stored_summaries for server in servers}) == 1
         if rng.random() < 0.3:
             exports = []
@@ -341,11 +344,6 @@ def test_pure_queries_emit_no_replay_spans():
     assert len(obs.tracer.records()) == before
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown analysis engine"):
-        AnalysisServer(n_ranks=2, engine="vectorized")
-
-
 def test_stored_summaries_counts_deduplicated_rows():
     ref, col = _servers()
     batch = [_summary(0, 1, SensorType.COMPUTATION, "", 0, 10.0)]
@@ -360,13 +358,13 @@ def test_stored_summaries_counts_deduplicated_rows():
 def test_pull_rows_is_idempotent(engine):
     """Pulling rows another server already gave is identity-deduplicated
     like any ingest: re-pulling from cursor 0 stores nothing new."""
-    source = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine=engine)
+    source = make_server(engine, n_ranks=N_RANKS, window_us=2000.0)
     for rank in range(N_RANKS):
         source.receive_batch(
             rank,
             [_summary(rank, 1, SensorType.COMPUTATION, "H", s, 10.0 + rank) for s in range(3)],
         )
-    merged = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine=engine)
+    merged = make_server(engine, n_ranks=N_RANKS, window_us=2000.0)
     assert merged.pull_rows(source) == 3 * N_RANKS
     assert merged.pull_rows(source, 0) == 3 * N_RANKS
     assert merged.stored_summaries == 3 * N_RANKS
@@ -432,7 +430,7 @@ def test_spool_drain_accounts_consumed_bytes():
 
 
 def test_run_vsensor_engines_identical_end_to_end():
-    """Full pipeline under both engines, with interleaved live snapshots:
+    """Full pipeline on both stores, with interleaved live snapshots:
     every matrix (final and per-snapshot) is bit-identical."""
     from repro.api import run_vsensor
     from repro.runtime.live import LiveReporter
@@ -444,14 +442,14 @@ def test_run_vsensor_engines_identical_end_to_end():
     reporters = {}
     for engine in ("reference", "columnar"):
         reporters[engine] = LiveReporter(period_us=500.0)
-        runs[engine] = run_vsensor(
-            SIMPLE_MPI_PROGRAM,
-            machine,
-            window_us=2000.0,
-            batch_period_us=1000.0,
-            analysis_engine=engine,
-            live=reporters[engine],
-        )
+        with reference_store() if engine == "reference" else nullcontext():
+            runs[engine] = run_vsensor(
+                SIMPLE_MPI_PROGRAM,
+                machine,
+                window_us=2000.0,
+                batch_period_us=1000.0,
+                live=reporters[engine],
+            )
     ref, col = runs["reference"], runs["columnar"]
     assert set(ref.report.matrices) == set(col.report.matrices)
     for stype, matrix in ref.report.matrices.items():

@@ -6,6 +6,7 @@ from repro.runtime.records import SliceSummary
 from repro.runtime.server import AnalysisServer
 from repro.runtime.transport import FileSpool
 from repro.sensors.model import SensorType
+from tests.oracles.reference_store import summaries_of
 
 
 def summary(rank, slice_index, duration, sensor_id=1, stype=SensorType.COMPUTATION, group="", miss=0.25):
@@ -76,23 +77,24 @@ def test_multiple_ranks_separate_spools(tmp_path):
 
 
 class _CapturingServer(AnalysisServer):
-    """Records every ingested summary (AnalysisServer uses slots, so the
-    capture must be a subclass override, not a monkeypatch).  The hook
-    only exists on the reference engine's per-object ingest path, so
-    instances are built with ``engine="reference"``."""
+    """Records every summary of each accepted wire-path batch, decoded to
+    objects (AnalysisServer uses slots, so the capture must be a subclass
+    override, not a monkeypatch)."""
 
     captured: list = []
 
-    def _ingest(self, s):
-        type(self).captured.append(s)
-        super()._ingest(s)
+    def receive_batch_columns(self, rank, columns, seq=None, encoded_bytes=None):
+        accepted = super().receive_batch_columns(rank, columns, seq, encoded_bytes)
+        if accepted:
+            type(self).captured.extend(summaries_of(columns))
+        return accepted
 
 
 def test_cache_miss_quantization_error_small(tmp_path):
     spool = FileSpool(directory=str(tmp_path))
     spool.append_batch(0, [summary(0, 0, 10.0, miss=0.333)])
     _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=1, window_us=1000.0)
     spool.drain_into(server)
     assert _CapturingServer.captured[0].mean_cache_miss == pytest.approx(0.333, abs=1e-4)
 
@@ -101,7 +103,7 @@ def test_group_interning_round_trip(tmp_path):
     spool = FileSpool(directory=str(tmp_path))
     spool.append_batch(0, [summary(0, 0, 10.0, group="H"), summary(0, 1, 12.0, group="L")])
     _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=1, window_us=1000.0)
     spool.drain_into(server)
     assert [s.group for s in _CapturingServer.captured] == ["H", "L"]
 
@@ -118,7 +120,7 @@ def test_group_interning_survives_fresh_reader(tmp_path):
 
     reader = FileSpool(directory=str(tmp_path))
     _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=2, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=2, window_us=1000.0)
     assert reader.drain_into(server) == 4
     by_rank = sorted((s.rank, s.slice_index, s.group) for s in _CapturingServer.captured)
     assert by_rank == [(0, 0, "H"), (0, 1, "L"), (0, 2, "H"), (1, 0, "L")]
@@ -130,7 +132,7 @@ def test_fresh_reader_between_incremental_drains(tmp_path):
     writer = FileSpool(directory=str(tmp_path))
     writer.append_batch(0, [summary(0, 0, 10.0, group="band9")])
     reader = FileSpool(directory=str(tmp_path))
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=1, window_us=1000.0)
     _CapturingServer.captured = []
     assert reader.drain_into(server) == 1
     writer.append_batch(0, [summary(0, 1, 10.0, group="band9")])
@@ -147,7 +149,7 @@ def test_count_saturates_at_u16(tmp_path):
     spool = FileSpool(directory=str(tmp_path))
     spool.append_batch(0, [dataclasses.replace(summary(0, 0, 10.0), count=100_000)])
     _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=1, window_us=1000.0)
     spool.drain_into(server)
     assert _CapturingServer.captured[0].count == 0xFFFF
 
@@ -166,7 +168,7 @@ def test_cache_miss_u16_quantization_bound(tmp_path):
         ],
     )
     _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=1, window_us=1000.0)
     spool.drain_into(server)
     for original, decoded in zip(rates, _CapturingServer.captured):
         clamped = min(max(original, 0.0), 1.0)
@@ -188,7 +190,7 @@ def test_truncated_tail_does_not_corrupt_next_drain(tmp_path):
     for cut in range(1, len(full)):
         reader = FileSpool(directory=str(tmp_path))
         _CapturingServer.captured = []
-        server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+        server = _CapturingServer(n_ranks=1, window_us=1000.0)
         with open(path, "wb") as fh:
             fh.write(full[:cut])
         reader.drain_into(server)
@@ -390,7 +392,7 @@ def test_spool_job_round_trip_preserves_job_id_and_groups(tmp_path):
     spool.append_batch(0, [row, summary(0, 5, 9.0, group="phase-b")])
 
     _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server = _CapturingServer(n_ranks=1, window_us=1000.0)
     assert spool.drain_into(server, job=6) == 1
     (decoded,) = _CapturingServer.captured
     assert decoded.job_id == 6
@@ -399,7 +401,7 @@ def test_spool_job_round_trip_preserves_job_id_and_groups(tmp_path):
     assert decoded.mean_duration == pytest.approx(17.5)
 
     _CapturingServer.captured = []
-    server0 = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    server0 = _CapturingServer(n_ranks=1, window_us=1000.0)
     assert spool.drain_into(server0, job=0) == 1
     (legacy,) = _CapturingServer.captured
     assert legacy.job_id == 0
@@ -521,12 +523,7 @@ def _drive_transport(transport_cls, config, policy, sharded, n_ranks=3, n_batche
             transport.send_batch(rank, batch, now)
             if service is not None:
                 service.pump(now)
-    while transport._pending or channel.pending():
-        targets = [p.next_retry_at for p in transport._pending.values()]
-        due = channel.next_due()
-        if due is not None:
-            targets.append(due)
-        t = min(targets)
+    while (t := transport.next_wakeup()) is not None:
         if service is not None:
             service.pump(t)
         transport.pump(t)
@@ -574,3 +571,25 @@ def test_retire_on_accept_matches_scanning_pump(drop, dup, reorder, max_attempts
     assert new["stats"]["retried"] > 0 or not (drop or sharded)
     if sharded:
         assert new["rejected"] > 0, "the scenario must exercise back-pressure"
+
+
+def test_next_wakeup_is_earliest_arrival_or_retry():
+    """``next_wakeup`` is the earliest in-flight arrival or retransmission
+    time, and ``None`` once every batch is acked."""
+    from repro.runtime.channel import ChannelConfig, LossyChannel
+    from repro.runtime.transport import ReliableTransport, RetryPolicy
+
+    server = AnalysisServer(n_ranks=2, window_us=1000.0)
+    channel = LossyChannel(config=ChannelConfig(delay_us=500.0))
+    transport = ReliableTransport(
+        server=server, channel=channel, policy=RetryPolicy(timeout_us=200.0)
+    )
+    assert transport.next_wakeup() is None
+    transport.send_batch(0, [summary(0, 0, 10.0)], now=0.0)
+    # The retransmit (t=200) is due before the first copy arrives (t=500).
+    assert transport.next_wakeup() == 200.0
+    transport.pump(200.0)
+    assert transport.next_wakeup() == 500.0 == channel.next_due()
+    transport.finish()
+    assert transport.next_wakeup() is None
+    assert server.stored_summaries == 1

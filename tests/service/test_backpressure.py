@@ -38,14 +38,7 @@ def _batch(rank, slices, sensor=1):
 def _drive_to_quiescence(service, transport):
     """The api-layer drive loop: pump shards, then the transport, at each
     next event time until nothing is pending."""
-    while transport._pending or transport.channel.pending():
-        targets = [p.next_retry_at for p in transport._pending.values()]
-        due = transport.channel.next_due()
-        if due is not None:
-            targets.append(due)
-        if not targets:
-            break
-        t = min(targets)
+    while (t := transport.next_wakeup()) is not None:
         service.pump(t)
         transport.pump(t)
     service.finish()

@@ -116,14 +116,7 @@ def test_transport_paces_to_the_bucket_and_loses_nothing():
     n_batches = 6
     for i in range(n_batches):
         transport.send_batch(0, _batch(0, [2 * i, 2 * i + 1]), now=i * 10.0)
-    while transport._pending or transport.channel.pending():
-        targets = [p.next_retry_at for p in transport._pending.values()]
-        due = transport.channel.next_due()
-        if due is not None:
-            targets.append(due)
-        if not targets:
-            break
-        t = min(targets)
+    while (t := transport.next_wakeup()) is not None:
         service.pump(t)
         transport.pump(t)
     service.finish()

@@ -1,12 +1,13 @@
-"""Differential suite: sharded service vs unsharded reference server.
+"""Differential suite: sharded service vs an unsharded oracle server.
 
 The service contract is **bit-identity**: for every job, every query the
 merged per-job view answers (matrices, rank means, inter-process events,
 history standards, stored rows) must equal what a single unsharded
-``AnalysisServer`` fed only that job's records would answer — for any
-shard count, any job count, any interleaving of jobs' batches, and any
-redelivery schedule.  Approximate agreement is a failure; these mirror
-the engine-equality suites of PRs 5–6 one layer up.
+``AnalysisServer`` on the reference store (``tests/oracles``) fed only
+that job's records would answer — for any shard count, any job count,
+any interleaving of jobs' batches, and any redelivery schedule.
+Approximate agreement is a failure; these mirror the columnar-vs-
+reference suites of ``tests/runtime`` one layer up.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.sensors.model import SensorType
 from repro.service import AnalysisService
 from repro.service.router import ShardRouter
 from repro.service.shard import ShardCostModel
+from tests.oracles import make_server, reference_store
 from tests.service.util import make_summary
 
 N_RANKS = 4
@@ -64,7 +66,7 @@ def job_pools(draw):
 
 def _reference_for(batches) -> AnalysisServer:
     """An unsharded server fed only this job's batches, in pool order."""
-    ref = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="reference")
+    ref = make_server("reference", n_ranks=N_RANKS, window_us=2000.0)
     for rank, batch, seq in batches:
         ref.receive_batch(rank, list(batch), seq=seq)
     return ref
@@ -109,7 +111,7 @@ def test_sharded_queries_bit_identical_under_redelivery(
 
     service = AnalysisService(n_shards, window_us=2000.0)
     ports = {job: service.register_job(job, N_RANKS) for job in pools}
-    refs = {job: AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="reference")
+    refs = {job: make_server("reference", n_ranks=N_RANKS, window_us=2000.0)
             for job in pools}
     for job, rank, batch, seq in stream:
         accepted_port = ports[job].receive_batch(rank, list(batch), seq=seq)
@@ -150,7 +152,7 @@ def test_sharded_queries_bit_identical_with_interleaved_queries(
 
     service = AnalysisService(n_shards, window_us=2000.0)
     ports = {job: service.register_job(job, N_RANKS) for job in pools}
-    refs = {job: AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="reference")
+    refs = {job: make_server("reference", n_ranks=N_RANKS, window_us=2000.0)
             for job in pools}
     for job, rank, batch, seq in stream:
         ports[job].receive_batch(rank, list(batch), seq=seq)
@@ -286,12 +288,15 @@ def test_job_isolation_identical_rows_do_not_collide():
 def test_front_restamps_rows_of_another_tenant():
     """A row arriving with another tenant's job_id is stored under the
     port's; a row already carrying it passes through as it is."""
-    service = AnalysisService(2, window_us=2000.0, engine="reference")
-    port = service.register_job(3, N_RANKS)
-    stamped = make_summary(0, 1, SensorType.COMPUTATION, "", 0, 10.0, job_id=3)
-    foreign = make_summary(0, 2, SensorType.COMPUTATION, "", 0, 11.0)
-    assert port.receive_batch(0, [stamped, foreign], seq=0)
-    service.finish()
+    # The oracle store keeps the ingested objects themselves, so the test
+    # can see which rows were passed through untouched.
+    with reference_store():
+        service = AnalysisService(2, window_us=2000.0)
+        port = service.register_job(3, N_RANKS)
+        stamped = make_summary(0, 1, SensorType.COMPUTATION, "", 0, 10.0, job_id=3)
+        foreign = make_summary(0, 2, SensorType.COMPUTATION, "", 0, 11.0)
+        assert port.receive_batch(0, [stamped, foreign], seq=0)
+        service.finish()
     rows = [
         row
         for shard in service.shards

@@ -1,7 +1,8 @@
-"""Differential tests: the bytecode VM must be bit-identical to the AST tier.
+"""Differential tests: the bytecode VM must be bit-identical to the AST oracle.
 
-The AST interpreter is the executable specification; the compiled register
-VM is the fast path.  Every workload analogue is run under both engines —
+The AST interpreter (``tests/oracles/ast_interp.py``) is the executable
+specification; the compiled register VM is the fast path.  Every workload
+analogue is run under both —
 uninstrumented on a quiet baseline and instrumented under a fault scenario
 — and everything observable must match exactly: virtual finish times,
 total work, match counts, PMU samples and the full sensor-record stream.
@@ -17,6 +18,7 @@ from repro.sim.engine import Simulator
 from repro.sim.faults import BadNode, IoDegradation, NetworkDegradation
 from repro.sim.hooks import RuntimeHooks
 from repro.workloads import all_workloads
+from tests.oracles import tier
 
 N_RANKS = 4
 
@@ -67,7 +69,8 @@ def test_uninstrumented_identical(name):
     wl = all_workloads()[name]
     module = parse_source(wl.source())
     machine = wl.machine(n_ranks=N_RANKS, ranks_per_node=2)
-    r_ast = Simulator(module, machine, engine="ast").run()
+    with tier("ast") as engine:
+        r_ast = Simulator(module, machine, engine=engine).run()
     r_bc = Simulator(module, machine, engine="bytecode").run()
     assert r_ast == r_bc
 
@@ -80,16 +83,17 @@ def test_instrumented_with_fault_identical(name):
     faults = _FAULTS.get(name, _DEFAULT_FAULT)
     streams = {}
     results = {}
-    for engine in ("ast", "bytecode"):
+    for name in ("ast", "bytecode"):
         rec = _Recorder()
-        results[engine] = Simulator(
-            static.program.module,
-            machine,
-            faults=faults,
-            sensors=static.program.sensors,
-            engine=engine,
-        ).run(rec)
-        streams[engine] = rec.events
+        with tier(name) as engine:
+            results[name] = Simulator(
+                static.program.module,
+                machine,
+                faults=faults,
+                sensors=static.program.sensors,
+                engine=engine,
+            ).run(rec)
+        streams[name] = rec.events
     assert results["ast"] == results["bytecode"]
     assert streams["ast"] == streams["bytecode"]
     # The fault run must actually observe something on instrumented programs.
@@ -102,10 +106,11 @@ def test_function_event_stream_identical():
     module = parse_source(wl.source())
     machine = wl.machine(n_ranks=2, ranks_per_node=2)
     streams = {}
-    for engine in ("ast", "bytecode"):
+    for name in ("ast", "bytecode"):
         rec = _Recorder(functions=True)
-        Simulator(module, machine, engine=engine).run(rec)
-        streams[engine] = rec.events
+        with tier(name) as engine:
+            Simulator(module, machine, engine=engine).run(rec)
+        streams[name] = rec.events
     assert streams["ast"] == streams["bytecode"]
     assert any(e[0] == "enter" for e in streams["ast"])
 

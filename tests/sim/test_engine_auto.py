@@ -38,7 +38,7 @@ def test_crossover_is_pinned_at_16_ranks():
 
 
 def test_concrete_tiers_pass_through_unchanged():
-    for engine in ("bytecode", "ast", "lockstep"):
+    for engine in ("bytecode", "lockstep"):
         for n_ranks in (1, 8, 64):
             assert resolve_engine(engine, n_ranks) == engine
 
@@ -70,3 +70,23 @@ def test_unknown_engine_rejected():
     module = parse_source(SRC)
     with pytest.raises(ValueError, match="unknown engine"):
         Simulator(module, MachineConfig(n_ranks=4), engine="vectorized")
+
+
+def test_ast_engine_rejected_naming_valid_tiers(capsys):
+    """The AST interpreter is a test oracle, not a tier: both the library
+    and the CLI refuse ``ast`` and say which tiers exist."""
+    from repro.cli import main
+
+    module = parse_source(SRC)
+    with pytest.raises(ValueError, match=r"unknown engine 'ast' \(bytecode\|lockstep\|auto\)"):
+        Simulator(module, MachineConfig(n_ranks=4), engine="ast")
+    for argv in (
+        ["run", "--workload", "FWQ", "--engine", "ast"],
+        ["history", "append", "--workload", "FWQ", "--store", "unused", "--engine", "ast"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'ast'" in err
+        assert "'bytecode', 'lockstep', 'auto'" in err

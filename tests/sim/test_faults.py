@@ -22,6 +22,7 @@ from repro.sim.faults import (
     node_factor_segments,
 )
 from repro.sim import clock as clock_module
+from tests.oracles import tier
 
 
 def test_bad_node_affects_only_its_node():
@@ -133,8 +134,8 @@ def test_malformed_fault_rejected_at_construction(fault, engine):
     machine = MachineConfig(n_ranks=16, ranks_per_node=8)
     module = parse_source("int main() { compute_units(100); return 0; }")
     began = time.perf_counter()
-    with pytest.raises(SimulationError) as info:
-        Simulator(module, machine, faults=(fault,), engine=engine)
+    with tier(engine) as concrete, pytest.raises(SimulationError) as info:
+        Simulator(module, machine, faults=(fault,), engine=concrete)
     assert time.perf_counter() - began < 1.0
     assert repr(fault) in str(info.value)
 
@@ -154,8 +155,10 @@ def test_exhausted_integration_cap_raises_on_every_engine(engine, monkeypatch):
     module = parse_source("int main() { compute_units(100000); return 0; }")
     # the lockstep tier advances all 16 fused lanes at once and names them
     named = r"ranks \[0, 1, 2, " if engine == "lockstep" else "rank 0: "
-    with pytest.raises(SimulationError, match=named + ".*within 8 integration steps"):
-        Simulator(module, machine, engine=engine).run()
+    with tier(engine) as concrete, pytest.raises(
+        SimulationError, match=named + ".*within 8 integration steps"
+    ):
+        Simulator(module, machine, engine=concrete).run()
 
 
 _window = st.tuples(

@@ -11,8 +11,8 @@ from repro.errors import InterpError, SimulationError
 from repro.frontend.parser import parse_source
 from repro.sim import MachineConfig, Simulator
 from repro.sim.hooks import NullHooks
-from repro.sim.interp import RankInterp
 from repro.sim.noise import NoiseConfig
+from tests.oracles import AstInterp
 
 
 def quiet_machine(n_ranks=1, ranks_per_node=1):
@@ -26,7 +26,7 @@ def quiet_machine(n_ranks=1, ranks_per_node=1):
 def run_single(src):
     """Run one rank to completion; return the interpreter for inspection."""
     module = parse_source(src)
-    interp = RankInterp(
+    interp = AstInterp(
         module=module,
         rank=0,
         n_ranks=1,

@@ -6,8 +6,8 @@ from repro.errors import InterpError
 from repro.frontend.parser import parse_source
 from repro.sim import IoDegradation, MachineConfig, Simulator
 from repro.sim.hooks import NullHooks, RawRecorder, TeeHooks
-from repro.sim.interp import RankInterp
 from repro.sim.noise import NoiseConfig
+from tests.oracles import AstInterp
 
 
 def quiet_machine(n_ranks=1, ranks_per_node=1):
@@ -19,7 +19,7 @@ def quiet_machine(n_ranks=1, ranks_per_node=1):
 
 
 def run_single(src):
-    interp = RankInterp(
+    interp = AstInterp(
         module=parse_source(src),
         rank=0,
         n_ranks=1,
@@ -97,7 +97,7 @@ def test_probe_mismatch_raises():
 def test_missing_entry_function():
     from repro.errors import InterpError
 
-    interp = RankInterp(
+    interp = AstInterp(
         module=parse_source("void helper() { }"),
         rank=0,
         n_ranks=1,
